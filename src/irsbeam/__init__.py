@@ -28,6 +28,8 @@ from .beamforming import (
     egr,
     mrr,
     srr,
+    MatchedBatch,
+    srr_batch,
     asnr_direction,
     max_asnr,
     random_phase,
@@ -39,6 +41,7 @@ from .metrics import (
     receive_power,
     snr,
     rate,
+    rate_batch,
     asnr_value,
     link_metrics,
 )

@@ -8,7 +8,9 @@ P_I. Methods:
 * ``egr``   - equal gain on all elements, phases align the reflected paths.
 * ``mrr``   - amplitude-and-phase matched to the product channel g* o f,
               rotated onto the direct path.
-* ``srr``   - MRR restricted to the K strongest product channels.
+* ``srr``   - MRR restricted to the K strongest product channels;
+              ``srr_batch`` designs it on a whole batch of draws at once,
+              bit-identical to ``srr`` row by row.
 * ``max_asnr`` - alternating iteration between the noise-whitened matched
               direction (for the current scale) and the budget-feasible
               scale (for the current direction).
@@ -38,6 +40,8 @@ __all__ = [
     "egr",
     "mrr",
     "srr",
+    "MatchedBatch",
+    "srr_batch",
     "asnr_direction",
     "max_asnr",
     "random_phase",
@@ -237,6 +241,66 @@ def srr(ch: ChannelRealization, params: SystemParams, k: int) -> Beamformer:
     p_norm = (w / nrm) * _direct_phase_factor(ch.h)
     lam = _lambda_matched(ch.g, ch.f, params, mask)
     return Beamformer(p_norm, lam, Method.SRR, mask)
+
+
+def _require_rows(ok: np.ndarray, message: str) -> None:
+    if not ok.all():
+        raise ValueError(f"trial {int(np.argmin(ok))}: {message}")
+
+
+@dataclass(frozen=True)
+class MatchedBatch:
+    """``srr`` designed on every row of a batch of draws, before the budget.
+
+    Row t of ``p_normalized`` equals ``srr(ch_t, params, k).p_normalized``
+    bit for bit, and ``s2``/``s4`` are the selection sums behind its scale.
+    None of them depends on the powers, so one batch serves every P_S.
+    """
+
+    p_normalized: np.ndarray    # (T, N), exactly zero off the selection
+    s2: np.ndarray              # (T,) sum |g f|^2 over the selection
+    s4: np.ndarray              # (T,) sum |f|^2 |g|^4 over the selection
+
+    def lam(self, params: SystemParams) -> np.ndarray:
+        """Budget-feasible scale of every row, equal to ``srr(...).lam``."""
+        lam = np.sqrt(params.p_i * self.s2
+                      / (params.p_s * self.s4 + params.sigma_i_sq * self.s2))
+        _require_rows(lam > 0.0, "lam must be positive")
+        return lam
+
+
+def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int) -> MatchedBatch:
+    """``srr`` on the rows of (T, N) channels ``g``, ``f`` and (T,) direct
+    channels ``h`` at once; k = N gives ``mrr``.
+
+    Each step repeats the scalar design's operation, in its operand order,
+    so every row matches the scalar result bit for bit: the selection is
+    gathered in ascending index order, norms are taken row by row, and
+    complex products are written as ``np.multiply`` calls, since numpy may
+    swap the operands of ``a * b`` on large temporaries.
+    """
+    t, n = g.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    _require_rows(np.isfinite(g).all(axis=1) & np.isfinite(f).all(axis=1) & np.isfinite(h),
+                  "channel entries must be finite")
+    magnitudes = np.abs(np.multiply(np.conj(g), f))
+    order = np.argsort(-magnitudes, axis=1, kind="stable")
+    mask = np.zeros((t, n), dtype=bool)
+    np.put_along_axis(mask, order[:, :k], True, axis=1)
+    g_sel, f_sel = g[mask], f[mask]
+    w = np.zeros((t, n), dtype=np.complex128)
+    w[mask] = np.multiply(np.conj(g_sel), f_sel)
+    nrm = np.array([np.linalg.norm(row) for row in w])
+    _require_rows(nrm != 0.0, "selected product channels are identically zero")
+    phase = np.array([_direct_phase_factor(x) for x in h.tolist()])
+    p_norm = np.multiply(np.divide(w, nrm[:, None]), phase[:, None])
+    _require_rows(np.abs(np.linalg.norm(p_norm, axis=1) - 1.0) <= 1e-12,
+                  "p_normalized must have unit 2-norm")
+    g_sel, f_sel = g_sel.reshape(t, k), f_sel.reshape(t, k)
+    s2 = np.sum(np.abs(np.multiply(g_sel, f_sel)) ** 2, axis=1)
+    s4 = np.sum(np.abs(f_sel) ** 2 * np.abs(g_sel) ** 4, axis=1)
+    return MatchedBatch(p_norm, s2, s4)
 
 
 def asnr_direction(ch: ChannelRealization, params: SystemParams, lam: float,

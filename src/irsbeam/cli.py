@@ -35,8 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="global sign convention of the iterative method")
     common.add_argument("--verbose-trials", action="store_true",
                         help="also write the per-trial rate log")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for trials (default 1; results identical)")
 
     parser = argparse.ArgumentParser(
         prog="irsbeam",
@@ -94,14 +92,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        if args.jobs is None or args.jobs < 1:
-            raise ConfigError("jobs: must be >= 1")
         scenario = cfg.scenario
         runner = _RUNNERS[scenario]
         if scenario in _SUPPORTS_TRIAL_LOG:
-            result = runner(cfg, jobs=args.jobs, verbose_trials=args.verbose_trials)
+            result = runner(cfg, verbose_trials=args.verbose_trials)
         else:
-            result = runner(cfg, jobs=args.jobs)
+            result = runner(cfg)
         _write_result(result, cfg)
         return 0
     except ConfigError as err:

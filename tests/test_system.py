@@ -90,6 +90,16 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=field):
             make_params(**{field: 1.9})
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha_bi", math.nan), ("alpha_iu", math.inf), ("alpha_bu", math.nan),
+        ("ref_loss_db", math.nan), ("ref_loss_db", -math.inf),
+        ("pos_bs", (math.nan, 0.0)), ("pos_irs", (1.0, math.inf)),
+        ("pos_user", (math.nan, math.nan)),
+    ])
+    def test_non_finite_exponent_position_or_loss_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_params(**{field: value})
+
     def test_zero_elements_rejected(self):
         with pytest.raises(ValueError, match="n_elements"):
             make_params(n_elements=0)
