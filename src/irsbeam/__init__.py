@@ -15,6 +15,7 @@ from .system import (
     node_distances,
     path_loss_gain,
     sample_channels,
+    sample_channels_batch,
     trial_seed,
 )
 from .beamforming import (
@@ -32,6 +33,8 @@ from .beamforming import (
     srr_batch,
     asnr_direction,
     max_asnr,
+    MaxAsnrBatch,
+    max_asnr_batch,
     random_phase,
     passive_aligned,
 )

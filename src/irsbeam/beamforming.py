@@ -13,7 +13,9 @@ P_I. Methods:
               bit-identical to ``srr`` row by row.
 * ``max_asnr`` - alternating iteration between the noise-whitened matched
               direction (for the current scale) and the budget-feasible
-              scale (for the current direction).
+              scale (for the current direction); ``max_asnr_batch`` runs
+              it on a batch of draws, bit-identical to ``max_asnr`` row by
+              row.
 * ``random_phase`` / ``passive_aligned`` - sanity baselines.
 """
 
@@ -28,6 +30,7 @@ import numpy as np
 
 from .system import ChannelRealization, SystemParams
 from . import metrics
+from .metrics import _require_rows
 
 __all__ = [
     "Method",
@@ -44,6 +47,8 @@ __all__ = [
     "srr_batch",
     "asnr_direction",
     "max_asnr",
+    "MaxAsnrBatch",
+    "max_asnr_batch",
     "random_phase",
     "passive_aligned",
 ]
@@ -129,7 +134,6 @@ class Beamformer:
 class TraceRecord:
     iteration: int
     lam: float
-    asnr_value: float
     rate_bits: float
 
 
@@ -243,9 +247,14 @@ def srr(ch: ChannelRealization, params: SystemParams, k: int) -> Beamformer:
     return Beamformer(p_norm, lam, Method.SRR, mask)
 
 
-def _require_rows(ok: np.ndarray, message: str) -> None:
-    if not ok.all():
-        raise ValueError(f"trial {int(np.argmin(ok))}: {message}")
+def _row_norms(w: np.ndarray) -> np.ndarray:
+    # np.linalg.norm of every row of a complex (T, N) array, bit for bit:
+    # norm adds the BLAS dot products of the real and the imaginary parts,
+    # and matmul of a 1 x N by an N x 1 block calls the same dot routine
+    # with the same strides.
+    re, im = w.real[:, None, :], w.imag[:, None, :]
+    sq = np.matmul(re, re.transpose(0, 2, 1)) + np.matmul(im, im.transpose(0, 2, 1))
+    return np.sqrt(sq[:, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -260,47 +269,54 @@ class MatchedBatch:
     p_normalized: np.ndarray    # (T, N), exactly zero off the selection
     s2: np.ndarray              # (T,) sum |g f|^2 over the selection
     s4: np.ndarray              # (T,) sum |f|^2 |g|^4 over the selection
+    trials: np.ndarray | None = None   # row numbers for error messages
 
     def lam(self, params: SystemParams) -> np.ndarray:
         """Budget-feasible scale of every row, equal to ``srr(...).lam``."""
         lam = np.sqrt(params.p_i * self.s2
                       / (params.p_s * self.s4 + params.sigma_i_sq * self.s2))
-        _require_rows(lam > 0.0, "lam must be positive")
+        _require_rows(lam > 0.0, "lam must be positive", self.trials)
         return lam
 
 
-def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int) -> MatchedBatch:
+def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int,
+              trials: np.ndarray | None = None) -> MatchedBatch:
     """``srr`` on the rows of (T, N) channels ``g``, ``f`` and (T,) direct
-    channels ``h`` at once; k = N gives ``mrr``.
+    channels ``h`` at once; k = N gives ``mrr``. ``trials`` numbers the
+    rows in error messages (default: the row index).
 
     Each step repeats the scalar design's operation, in its operand order,
     so every row matches the scalar result bit for bit: the selection is
-    gathered in ascending index order, norms are taken row by row, and
-    complex products are written as ``np.multiply`` calls, since numpy may
-    swap the operands of ``a * b`` on large temporaries.
+    gathered in ascending index order, norms are the BLAS dot products that
+    ``np.linalg.norm`` takes, and complex products are written as
+    ``np.multiply`` calls, since numpy may swap the operands of ``a * b``
+    on large temporaries.
     """
     t, n = g.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     _require_rows(np.isfinite(g).all(axis=1) & np.isfinite(f).all(axis=1) & np.isfinite(h),
-                  "channel entries must be finite")
-    magnitudes = np.abs(np.multiply(np.conj(g), f))
-    order = np.argsort(-magnitudes, axis=1, kind="stable")
-    mask = np.zeros((t, n), dtype=bool)
-    np.put_along_axis(mask, order[:, :k], True, axis=1)
-    g_sel, f_sel = g[mask], f[mask]
-    w = np.zeros((t, n), dtype=np.complex128)
-    w[mask] = np.multiply(np.conj(g_sel), f_sel)
-    nrm = np.array([np.linalg.norm(row) for row in w])
-    _require_rows(nrm != 0.0, "selected product channels are identically zero")
+                  "channel entries must be finite", trials)
+    if k == n:      # every element is selected: nothing to sort or gather
+        g_sel, f_sel = g, f
+        w = np.multiply(np.conj(g), f)
+    else:
+        order = np.argsort(-np.abs(np.multiply(np.conj(g), f)), axis=1, kind="stable")
+        mask = np.zeros((t, n), dtype=bool)
+        np.put_along_axis(mask, order[:, :k], True, axis=1)
+        g_sel, f_sel = g[mask], f[mask]
+        w = np.zeros((t, n), dtype=np.complex128)
+        w[mask] = np.multiply(np.conj(g_sel), f_sel)
+        g_sel, f_sel = g_sel.reshape(t, k), f_sel.reshape(t, k)
+    nrm = _row_norms(w)
+    _require_rows(nrm != 0.0, "selected product channels are identically zero", trials)
     phase = np.array([_direct_phase_factor(x) for x in h.tolist()])
     p_norm = np.multiply(np.divide(w, nrm[:, None]), phase[:, None])
-    _require_rows(np.abs(np.linalg.norm(p_norm, axis=1) - 1.0) <= 1e-12,
-                  "p_normalized must have unit 2-norm")
-    g_sel, f_sel = g_sel.reshape(t, k), f_sel.reshape(t, k)
+    _require_rows(np.abs(_row_norms(p_norm) - 1.0) <= 1e-12,
+                  "p_normalized must have unit 2-norm", trials)
     s2 = np.sum(np.abs(np.multiply(g_sel, f_sel)) ** 2, axis=1)
     s4 = np.sum(np.abs(f_sel) ** 2 * np.abs(g_sel) ** 4, axis=1)
-    return MatchedBatch(p_norm, s2, s4)
+    return MatchedBatch(p_norm, s2, s4, trials)
 
 
 def asnr_direction(ch: ChannelRealization, params: SystemParams, lam: float,
@@ -358,9 +374,103 @@ def _trace_record(iteration: int, bf: Beamformer, ch: ChannelRealization,
     return TraceRecord(
         iteration=iteration,
         lam=bf.lam,
-        asnr_value=metrics.asnr_value(bf, ch, params),
         rate_bits=metrics.rate(metrics.snr(bf, ch, params)),
     )
+
+
+@dataclass(frozen=True)
+class MaxAsnrBatch:
+    """``max_asnr`` run on every row of a batch of draws.
+
+    Row t equals ``max_asnr(ch_t, params, opts)`` bit for bit: the final
+    direction and scale, the converged flag, and in ``records[t]`` the
+    (lam, rate_bits) pair of every trace record, record 0 being the
+    ``mrr`` start.
+    """
+
+    p_normalized: np.ndarray    # (T, N) final direction
+    lam: np.ndarray             # (T,) final scale
+    records: tuple[tuple[tuple[float, float], ...], ...]
+    converged: np.ndarray       # (T,) bool
+
+    @property
+    def iterations(self) -> np.ndarray:
+        """Direction/scale updates performed per row."""
+        return np.array([len(recs) - 1 for recs in self.records])
+
+
+def _asnr_directions(g: np.ndarray, f: np.ndarray, amp_noise: np.ndarray,
+                     phase: np.ndarray, lam: np.ndarray, params: SystemParams,
+                     trials: np.ndarray) -> np.ndarray:
+    # asnr_direction on every row, given amp_noise = sigma_I^2 |f|^2 and
+    # the signed direct-path factor of each row.
+    offset = np.array([params.sigma_u_sq / x**2 for x in lam.tolist()])
+    w = np.divide(np.multiply(np.conj(g), f), amp_noise + offset[:, None])
+    nrm = _row_norms(w)
+    _require_rows(nrm != 0.0, "product channel g* o f is identically zero", trials)
+    return np.multiply(np.divide(w, nrm[:, None]), phase[:, None])
+
+
+def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemParams,
+                   opts: SolverOptions = SolverOptions(),
+                   trials: np.ndarray | None = None) -> MaxAsnrBatch:
+    """``max_asnr`` on the rows of (T, N) channels ``g``, ``f`` and (T,)
+    direct channels ``h`` at once. ``trials`` numbers the rows in error
+    messages (default: the row index).
+
+    Each pass runs on the rows still active. A row leaves the active set
+    as soon as its own stopping rule fires or it reaches
+    ``max_iterations``, so every row keeps the scalar iteration count.
+    The steps repeat ``asnr_direction`` and ``lambda_from_normalized`` in
+    their operand order, as ``srr_batch`` repeats ``srr``: the square of
+    the scale is taken on Python floats (libm ``pow``), norms are the dot
+    products ``np.linalg.norm`` takes, and complex products are
+    ``np.multiply`` calls.
+    """
+    t, n = g.shape
+    trials = np.arange(t) if trials is None else np.asarray(trials)
+    start = srr_batch(g, f, h, n, trials)
+    lam = start.lam(params)
+    rates = metrics.rate_batch(np.multiply(lam[:, None], start.p_normalized),
+                               g, f, h, params, trials)
+    records = [[rec] for rec in zip(lam.tolist(), rates.tolist())]
+    # Rows of the start's directions are overwritten as their trials end.
+    p_final, lam_final = start.p_normalized, lam.copy()
+    converged = np.zeros(t, dtype=bool)
+
+    phase = np.array([_direct_phase_factor(x) for x in h.tolist()])
+    if opts.sign_mode is SignMode.LITERAL:
+        phase = -phase
+    # Per active row: its index in the batch and everything a pass reads.
+    rows = np.arange(t)
+    amp_noise = params.sigma_i_sq * np.abs(f) ** 2
+    for it in range(1, opts.max_iterations + 1):
+        label = trials[rows]
+        p_norm = _asnr_directions(g, f, amp_noise, phase, lam, params, label)
+        _require_rows(np.abs(_row_norms(p_norm) - 1.0) <= 1e-12,
+                      "p_normalized must have unit 2-norm", label)
+        signal = (np.abs(np.multiply(p_norm, g)) ** 2).sum(axis=1)
+        noise = (np.abs(p_norm) ** 2).sum(axis=1)
+        new_lam = np.sqrt(params.p_i / (params.p_s * signal + params.sigma_i_sq * noise))
+        _require_rows(new_lam > 0.0, "lam must be positive", label)
+        rates = metrics.rate_batch(np.multiply(new_lam[:, None], p_norm),
+                                   g, f, h, params, label)
+        for row, rec in zip(rows.tolist(), zip(new_lam.tolist(), rates.tolist())):
+            records[row].append(rec)
+        done = np.abs(new_lam - lam) / lam <= opts.tolerance
+        leaving = done | (it == opts.max_iterations)
+        if leaving.any():
+            ended = rows[leaving]
+            converged[ended] = done[leaving]
+            p_final[ended] = p_norm[leaving]
+            lam_final[ended] = new_lam[leaving]
+            if leaving.all():
+                break
+            stay = ~leaving
+            rows, new_lam, g, f, h, phase, amp_noise = (
+                a[stay] for a in (rows, new_lam, g, f, h, phase, amp_noise))
+        lam = new_lam
+    return MaxAsnrBatch(p_final, lam_final, tuple(tuple(r) for r in records), converged)
 
 
 def random_phase(ch: ChannelRealization, params: SystemParams, seed: int) -> Beamformer:

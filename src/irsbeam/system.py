@@ -8,6 +8,7 @@ sampler used by every experiment.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "node_distances",
     "path_loss_gain",
     "sample_channels",
+    "sample_channels_batch",
     "trial_seed",
 ]
 
@@ -161,10 +163,29 @@ class ChannelRealization:
         return self.g.shape[0]
 
 
-def _complex_gaussian(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
+def _complex_gaussian(re: np.ndarray, im: np.ndarray, variance: float) -> np.ndarray:
     # Circularly-symmetric: variance split evenly between Re and Im.
-    z = rng.standard_normal((2, n))
-    return math.sqrt(variance / 2.0) * (z[0] + 1j * z[1])
+    return np.multiply(math.sqrt(variance / 2.0), re + np.multiply(1j, im))
+
+
+def sample_channels_batch(params: SystemParams,
+                          seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one realization per seed, stacked: (T, N) arrays ``g`` and
+    ``f`` and (T,) direct channels ``h``.
+
+    Row t equals ``sample_channels(params, seeds[t])`` bit for bit. Each
+    seed's generator fills one row of 4N + 2 standard normals, in the
+    order Re g, Im g, Re f, Im f, Re h, Im h.
+    """
+    var_bi, var_iu, var_bu = params.link_variances()
+    n = params.n_elements
+    z = np.empty((len(seeds), 4 * n + 2))
+    for row, seed in zip(z, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    g = _complex_gaussian(z[:, :n], z[:, n:2 * n], var_bi)
+    f = _complex_gaussian(z[:, 2 * n:3 * n], z[:, 3 * n:4 * n], var_iu)
+    h = _complex_gaussian(z[:, 4 * n], z[:, 4 * n + 1], var_bu)
+    return g, f, h
 
 
 def sample_channels(params: SystemParams, seed: int) -> ChannelRealization:
@@ -174,13 +195,8 @@ def sample_channels(params: SystemParams, seed: int) -> ChannelRealization:
     link's path-loss gain as variance. Identical (params, seed) pairs
     reproduce the identical realization bit for bit.
     """
-    var_bi, var_iu, var_bu = params.link_variances()
-    rng = np.random.default_rng(seed)
-    n = params.n_elements
-    g = _complex_gaussian(rng, n, var_bi)
-    f = _complex_gaussian(rng, n, var_iu)
-    h = complex(_complex_gaussian(rng, 1, var_bu)[0])
-    return ChannelRealization(g=g, f=f, h=h)
+    g, f, h = sample_channels_batch(params, [seed])
+    return ChannelRealization(g=g[0], f=f[0], h=complex(h[0]))
 
 
 def trial_seed(master_seed: int, trial_index: int, stream: int = 0) -> int:

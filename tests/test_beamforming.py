@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from irsbeam import (
     SignMode,
     SolverOptions,
     asnr_direction,
+    dbm_to_watts,
     egr,
     lambda_from_normalized,
     max_asnr,
+    max_asnr_batch,
     mrr,
     passive_aligned,
     random_phase,
     reflected_power,
     sample_channels,
+    sample_channels_batch,
     snr,
     srr,
     SystemParams,
@@ -347,6 +351,56 @@ class TestMaxAsnr:
         _, trace = max_asnr(ch, params)
         assert trace.records[0].lam == pytest.approx(mrr(ch, params).lam, rel=1e-12)
 
+
+
+class TestMaxAsnrBatch:
+    # The N = 64 and N = 256 cases hold (T, N) complex arrays above the
+    # 256 KiB from which numpy reuses temporaries in place.
+    @pytest.mark.parametrize("n, trials", [(1, 40), (2, 40), (3, 40), (16, 40),
+                                           (64, 300), (256, 80)])
+    @pytest.mark.parametrize("sign_mode", list(SignMode))
+    @pytest.mark.parametrize("stop", [{}, {"tolerance": 1e-16, "max_iterations": 2}])
+    def test_batch_equals_scalar_path_bit_for_bit(self, n, trials, sign_mode, stop):
+        params = SystemParams.default(n)
+        g, f, h = sample_channels_batch(params, [trial_seed(12345, t) for t in range(trials)])
+        h[::4] = 0.0                    # absent direct path on every fourth row
+        opts = SolverOptions(sign_mode=sign_mode, **stop)
+        batch = max_asnr_batch(g, f, h, params, opts)
+        iterations = batch.iterations
+        for t in range(trials):
+            ch = ChannelRealization(g=g[t], f=f[t], h=complex(h[t]))
+            bf, trace = max_asnr(ch, params, opts)
+            assert batch.records[t] == tuple((r.lam, r.rate_bits) for r in trace.records)
+            assert iterations[t] == trace.iterations
+            assert batch.converged[t] == trace.converged
+            assert np.array_equal(batch.p_normalized[t], bf.p_normalized)
+            assert batch.lam[t] == bf.lam
+
+    def test_one_row_of_one_element(self):
+        # Found by the property test: numpy's in-place complex multiply on
+        # an array of one element rounds differently from the out-of-place
+        # one, so a batch that has shrunk to one row must not use it.
+        params = replace(SystemParams.default(1), p_s=dbm_to_watts(0.0), p_i=dbm_to_watts(1.0))
+        g, f, h = sample_channels_batch(params, [trial_seed(0, 0)])
+        for sign_mode in SignMode:
+            opts = SolverOptions(sign_mode=sign_mode)
+            batch = max_asnr_batch(g, f, h, params, opts)
+            bf, trace = max_asnr(ChannelRealization(g=g[0], f=f[0], h=complex(h[0])), params, opts)
+            assert batch.records[0] == tuple((r.lam, r.rate_bits) for r in trace.records)
+            assert np.array_equal(batch.p_normalized[0], bf.p_normalized)
+
+    def test_checks_name_the_failing_trial(self):
+        params = SystemParams.default(4)
+        g, f, h = sample_channels_batch(params, [1, 2, 3])
+        g[1] = 0.0
+        with pytest.raises(ValueError, match="trial 1: selected product channels"):
+            max_asnr_batch(g, f, h, params)
+        with pytest.raises(ValueError, match="trial 41: "):
+            max_asnr_batch(g, f, h, params, trials=np.arange(40, 43))
+        g[1] = 1.0
+        f[2, 0] = np.nan
+        with pytest.raises(ValueError, match="trial 2: channel entries must be finite"):
+            max_asnr_batch(g, f, h, params)
 
 class TestBaselines:
     def test_random_phase_deterministic(self, rng):

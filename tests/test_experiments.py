@@ -5,9 +5,11 @@ import pytest
 
 from irsbeam import (
     Method,
+    SolverOptions,
     SystemParams,
     dbm_to_watts,
     format_csv,
+    max_asnr,
     monte_carlo_rate,
     monte_carlo_rates,
     parse_config,
@@ -21,12 +23,14 @@ from irsbeam import (
     rate_batch,
     reflected_power,
     sample_channels,
+    sample_channels_batch,
     snr,
     srr,
     srr_batch,
     trial_seed,
 )
 from irsbeam.experiments import (
+    CONVERGENCE_BLOCK,
     CONVERGENCE_HEADER,
     ORACLE_CHECK_HEADER,
     RATE_VS_N_HEADER,
@@ -74,6 +78,36 @@ class TestConvergenceRun:
             iters = [row[1] for row in result.rows if row[0] == seed]
             assert iters == list(range(len(iters)))
             assert len(iters) <= cfg.solver.max_iterations + 1
+
+    @staticmethod
+    def _scalar_rows(cfg):
+        rows, unconverged = [], 0
+        for n in cfg.n_values:
+            params = cfg.params_for(n)
+            for t in range(cfg.trials):
+                seed = trial_seed(cfg.master_seed, t)
+                _, trace = max_asnr(sample_channels(params, seed), params, cfg.solver)
+                rows.extend((seed, r.iteration, r.lam, r.rate_bits) for r in trace.records)
+                unconverged += not trace.converged
+        return rows, unconverged
+
+    def test_rows_equal_scalar_traces_across_blocks(self):
+        trials = 2 * CONVERGENCE_BLOCK + 5
+        cfg = small_config("convergence", n_values=[4, 16], trials=trials)
+        result = run_convergence(cfg)
+        rows, unconverged = self._scalar_rows(cfg)
+        assert result.rows == rows
+        assert format_csv(CONVERGENCE_HEADER, result.rows) == format_csv(CONVERGENCE_HEADER, rows)
+        assert result.notes == (f"max-asnr: {unconverged} of {2 * trials} runs did not converge",)
+
+    def test_unconverged_runs_are_counted(self):
+        cfg = small_config("convergence", n_values=[8], max_iterations=2, tolerance=1e-16)
+        assert cfg.solver == SolverOptions(tolerance=1e-16, max_iterations=2)
+        result = run_convergence(cfg)
+        rows, unconverged = self._scalar_rows(cfg)
+        assert result.rows == rows
+        assert unconverged > 0
+        assert result.notes == (f"max-asnr: {unconverged} of {cfg.trials} runs did not converge",)
 
     def test_final_rate_usually_improves_on_initialization(self):
         import json
@@ -166,15 +200,15 @@ class TestSrrBatch:
         from irsbeam import experiments
         calls = []
 
-        def counted(params, seed):
-            calls.append(seed)
-            return sample_channels(params, seed)
+        def counted(params, seeds):
+            calls.append(list(seeds))
+            return sample_channels_batch(params, seeds)
 
-        monkeypatch.setattr(experiments, "sample_channels", counted)
+        monkeypatch.setattr(experiments, "sample_channels_batch", counted)
         cfg = small_config("srr-sweep", n_values=[8], k_values=[2, 8],
                            p_s_dbm_values=[0.0, 15.0])
         run_srr_sweep(cfg)
-        assert calls == [trial_seed(cfg.master_seed, t) for t in range(cfg.trials)]
+        assert calls == [[trial_seed(cfg.master_seed, t) for t in range(cfg.trials)]]
 
 
 class TestRateVsNRun:

@@ -9,6 +9,7 @@ from irsbeam import (
     node_distances,
     path_loss_gain,
     sample_channels,
+    sample_channels_batch,
     trial_seed,
 )
 
@@ -154,6 +155,32 @@ class TestSampleChannels:
         ch = sample_channels(params, 1)
         assert ch.g.shape == (5,) and ch.f.shape == (5,)
         assert ch.n_elements == 5
+
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_batch_rows_equal_sequential_draws(self, n, monkeypatch):
+        # The documented layout: per seed, draw (2, N) normals for g, then
+        # (2, N) for f, then (2, 1) for h, from one generator.
+        params = SystemParams.default(n)
+        seeds = [trial_seed(11, t) for t in range(20)]
+        variances = params.link_variances()
+        calls = []
+        monkeypatch.setattr(SystemParams, "link_variances",
+                            lambda self: calls.append(self) or variances)
+        g, f, h = sample_channels_batch(params, seeds)
+        assert len(calls) == 1
+        assert g.shape == f.shape == (20, n) and h.shape == (20,)
+        for t, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            expected = [math.sqrt(v / 2.0) * (z[0] + 1j * z[1])
+                        for v, z in zip(variances, (rng.standard_normal((2, n)),
+                                                    rng.standard_normal((2, n)),
+                                                    rng.standard_normal((2, 1))))]
+            assert np.array_equal(g[t], expected[0])
+            assert np.array_equal(f[t], expected[1])
+            assert h[t] == expected[2][0]
+            ch = sample_channels(params, seed)
+            assert np.array_equal(ch.g, g[t]) and np.array_equal(ch.f, f[t]) and ch.h == h[t]
 
 
 class TestTrialSeed:
