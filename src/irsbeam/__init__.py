@@ -57,15 +57,12 @@ from .oracle import (
 )
 from .config import Scenario, ConfigError, ExperimentConfig, parse_config
 from .experiments import (
-    RateSummary,
     ExperimentResult,
     build_beamformer,
     monte_carlo_rates,
-    monte_carlo_rate,
     run_convergence,
     run_srr_sweep,
     run_rate_vs_n,
-    run_single,
     run_oracle_check,
     format_csv,
 )

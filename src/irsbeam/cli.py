@@ -12,13 +12,13 @@ from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, Scenario, parse_config
 from .experiments import ExperimentResult, format_csv, run_convergence, \
-    run_oracle_check, run_rate_vs_n, run_single, run_srr_sweep
+    run_oracle_check, run_rate_vs_n, run_srr_sweep
 
 _RUNNERS = {
     Scenario.CONVERGENCE: run_convergence,
     Scenario.SRR_SWEEP: run_srr_sweep,
     Scenario.RATE_VS_N: run_rate_vs_n,
-    Scenario.SINGLE: run_single,
+    Scenario.SINGLE: run_rate_vs_n,
     Scenario.ORACLE_CHECK: run_oracle_check,
 }
 
@@ -96,6 +96,8 @@ def main(argv: list[str] | None = None) -> int:
         runner = _RUNNERS[scenario]
         if scenario in _SUPPORTS_TRIAL_LOG:
             result = runner(cfg, verbose_trials=args.verbose_trials)
+        elif args.verbose_trials:
+            raise ConfigError(f"--verbose-trials: not used by the {scenario.value} scenario")
         else:
             result = runner(cfg)
         _write_result(result, cfg)

@@ -60,8 +60,8 @@ _UNUSED_KEYS = {
     Scenario.CONVERGENCE: ("k_values", "p_s_dbm_values"),
     Scenario.SRR_SWEEP: (),
     Scenario.RATE_VS_N: ("k_values", "p_s_dbm_values"),
-    Scenario.SINGLE: ("p_s_dbm_values",),
-    Scenario.ORACLE_CHECK: ("p_s_dbm_values",),
+    Scenario.SINGLE: ("k_values", "p_s_dbm_values"),
+    Scenario.ORACLE_CHECK: ("k_values", "p_s_dbm_values"),
 }
 
 _DEFAULT_N_VALUES = {
@@ -94,7 +94,7 @@ class ExperimentConfig:
 
     scenario: Scenario
     n_values: tuple[int, ...]
-    k_values: tuple[int, ...]
+    k_values: tuple[int, ...]       # srr-sweep only; () elsewhere
     trials: int
     master_seed: int
     params: SystemParams            # n_elements set to n_values[0]
@@ -203,8 +203,6 @@ def parse_config(text: str, scenario: str | Scenario | None = None,
         _require(merged.get(key) is None, key, f"not used by the {scen.value} scenario")
 
     n_values = _get_int_list(merged, "n_values", _DEFAULT_N_VALUES[scen])
-    default_k = _default_k_grid(min(n_values)) if scen is Scenario.SRR_SWEEP else ()
-    k_values = _get_int_list(merged, "k_values", default_k)
 
     trials = _get_int(merged, "trials", DEFAULT_TRIALS)
     _require(trials >= 1, "trials", f"must be >= 1, got {trials}")
@@ -218,10 +216,10 @@ def parse_config(text: str, scenario: str | Scenario | None = None,
     if scen is Scenario.ORACLE_CHECK:
         for n in n_values:
             _require(n <= 3, "n_values", f"oracle-check supports n <= 3, got {n}")
+    k_values: tuple[int, ...] = ()
     if scen is Scenario.SRR_SWEEP:
-        _require(len(k_values) > 0, "k_values", "required for the srr-sweep scenario")
-    if k_values:
         n_min = min(n_values)
+        k_values = _get_int_list(merged, "k_values", _default_k_grid(n_min))
         for k in k_values:
             _require(1 <= k <= n_min, "k_values",
                      f"entries must be in [1, {n_min}] (the smallest element count), got {k}")

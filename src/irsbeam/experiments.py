@@ -21,15 +21,12 @@ from .system import ChannelRealization, SystemParams, sample_channels, \
     sample_channels_batch, trial_seed
 
 __all__ = [
-    "RateSummary",
     "ExperimentResult",
     "build_beamformer",
     "monte_carlo_rates",
-    "monte_carlo_rate",
     "run_convergence",
     "run_srr_sweep",
     "run_rate_vs_n",
-    "run_single",
     "run_oracle_check",
     "format_csv",
 ]
@@ -47,19 +44,6 @@ CONVERGENCE_HEADER = ("seed", "iteration", "lambda", "rate_bits")
 SRR_SWEEP_HEADER = ("k", "p_s_dbm", "method", "mean_rate_bits", "std_rate_bits", "trials")
 RATE_VS_N_HEADER = ("n", "method", "mean_rate_bits", "std_rate_bits", "trials")
 ORACLE_CHECK_HEADER = ("seed", "n", "method", "rate_bits", "best_rate_bits", "gap_bits")
-
-
-@dataclass(frozen=True)
-class RateSummary:
-    """Aggregated rate for one (method, cell) pair."""
-
-    method: str
-    n: int
-    k: int | None
-    p_s_dbm: float | None
-    mean_rate_bits: float
-    std_rate_bits: float
-    trials: int
 
 
 @dataclass(frozen=True)
@@ -98,9 +82,16 @@ def build_beamformer(method: Method, ch: ChannelRealization, params: SystemParam
     raise ValueError(f"unsupported method {method!r}")
 
 
-def _trial_rate(method: Method, params: SystemParams, master_seed: int, trial: int,
-                k: int | None, solver: SolverOptions | None) -> float:
-    ch = sample_channels(params, trial_seed(master_seed, trial))
+def _summary_cells(n: int) -> list[tuple[Method, int | None]]:
+    """The (method, k) cells of the summary scenarios at ``n`` elements:
+    every method, with ``srr`` on half the elements."""
+    return [(m, max(1, n // 2) if m is Method.SRR else None) for m in RATE_VS_N_METHODS]
+
+
+def _channel_rate(method: Method, ch: ChannelRealization, params: SystemParams,
+                  master_seed: int, trial: int, k: int | None,
+                  solver: SolverOptions | None) -> float:
+    """Rate of one design on the channel already drawn for ``trial``."""
     bf = build_beamformer(method, ch, params, k=k, solver=solver,
                           phase_seed=trial_seed(master_seed, trial, stream=1))
     return metrics.rate(metrics.snr(bf, ch, params))
@@ -115,30 +106,12 @@ def monte_carlo_rates(method: Method, params: SystemParams, trials: int,
 
     def one(t: int) -> float:
         try:
-            return _trial_rate(method, params, master_seed, t, k, solver)
+            ch = sample_channels(params, trial_seed(master_seed, t))
+            return _channel_rate(method, ch, params, master_seed, t, k, solver)
         except Exception as err:
             raise RuntimeError(f"trial {t} failed for method {method.value}: {err}") from err
 
     return np.array([one(t) for t in range(trials)])
-
-
-def monte_carlo_rate(method: Method, params: SystemParams, trials: int,
-                     master_seed: int, k: int | None = None,
-                     solver: SolverOptions | None = None,
-                     p_s_dbm: float | None = None) -> RateSummary:
-    """Mean and sample standard deviation of the rate over ``trials`` draws."""
-    rates = monte_carlo_rates(method, params, trials, master_seed,
-                              k=k, solver=solver)
-    std = float(np.std(rates, ddof=1)) if trials > 1 else 0.0
-    return RateSummary(
-        method=method.value,
-        n=params.n_elements,
-        k=k,
-        p_s_dbm=p_s_dbm,
-        mean_rate_bits=float(np.mean(rates)),
-        std_rate_bits=std,
-        trials=trials,
-    )
 
 
 # Trials drawn and designed together by ``run_convergence``. Larger blocks
@@ -214,21 +187,16 @@ def _sample_std(rates: np.ndarray) -> float:
     return float(np.std(rates, ddof=1)) if rates.size > 1 else 0.0
 
 
-def _method_cells(cfg: ExperimentConfig, n: int) -> list[tuple[Method, int | None]]:
-    k_default = cfg.k_values[0] if cfg.k_values else max(1, n // 2)
-    return [(m, k_default if m is Method.SRR else None) for m in RATE_VS_N_METHODS]
-
-
 def run_rate_vs_n(cfg: ExperimentConfig,
                   verbose_trials: bool = False) -> ExperimentResult:
-    """Mean rate of every method across the element-count grid; the
-    selective method runs at half the elements."""
+    """Mean rate of every method across the element-count grid, on the
+    cells of ``_summary_cells``. Also runs ``single``, whose default grid
+    is N = 64."""
     rows: list[tuple] = []
     trial_rows: list[tuple] = []
     for n in cfg.n_values:
         params = cfg.params_for(n)
-        for method in RATE_VS_N_METHODS:
-            k = max(1, n // 2) if method is Method.SRR else None
+        for method, k in _summary_cells(n):
             rates = monte_carlo_rates(method, params, cfg.trials, cfg.master_seed,
                                       k=k, solver=cfg.solver)
             rows.append((n, method.value, float(np.mean(rates)),
@@ -246,29 +214,8 @@ def run_rate_vs_n(cfg: ExperimentConfig,
     )
 
 
-def run_single(cfg: ExperimentConfig,
-               verbose_trials: bool = False) -> ExperimentResult:
-    """All methods on one cell (the first element count)."""
-    n = cfg.n_values[0]
-    params = cfg.params_for(n)
-    rows: list[tuple] = []
-    trial_rows: list[tuple] = []
-    for method, k in _method_cells(cfg, n):
-        rates = monte_carlo_rates(method, params, cfg.trials, cfg.master_seed,
-                                  k=k, solver=cfg.solver)
-        rows.append((n, method.value, float(np.mean(rates)),
-                     _sample_std(rates), cfg.trials))
-        if verbose_trials:
-            trial_rows.extend(
-                (n, method.value, t, trial_seed(cfg.master_seed, t), r)
-                for t, r in enumerate(rates)
-            )
-    return ExperimentResult(
-        RATE_VS_N_HEADER, rows,
-        trial_header=("n", "method", "trial", "seed", "rate_bits")
-        if verbose_trials else None,
-        trial_rows=trial_rows if verbose_trials else None,
-    )
+# The benchmark's tracer looks the runners up by name.
+run_single = run_rate_vs_n
 
 
 ORACLE_PHASE_STEPS = 256
@@ -287,10 +234,8 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
             ch = sample_channels(params, seed)
             best = grid_search_best(ch, params, ORACLE_PHASE_STEPS,
                                     ORACLE_AMPLITUDE_STEPS)
-            for method, k in _method_cells(cfg, n):
-                bf = build_beamformer(method, ch, params, k=k, solver=cfg.solver,
-                                      phase_seed=trial_seed(cfg.master_seed, t, stream=1))
-                r = metrics.rate(metrics.snr(bf, ch, params))
+            for method, k in _summary_cells(n):
+                r = _channel_rate(method, ch, params, cfg.master_seed, t, k, cfg.solver)
                 rows.append((seed, n, method.value, r, best.best_rate_bits,
                              best.best_rate_bits - r))
             verdict = sign_adjudicate(ch, params, cfg.solver).value

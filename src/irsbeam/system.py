@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,10 +101,6 @@ class SystemParams:
             alpha_bu=3.8,
             ref_loss_db=-30.0,
         )
-
-    def with_elements(self, n_elements: int) -> "SystemParams":
-        """Same scenario with a different IRS size."""
-        return replace(self, n_elements=n_elements)
 
     def link_variances(self) -> tuple[float, float, float]:
         """Per-entry channel variances (BS-IRS, IRS-user, BS-user)."""

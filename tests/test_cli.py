@@ -21,6 +21,24 @@ def test_single_run_writes_csv(tmp_path, capsys):
     assert "wrote 6 rows" in capsys.readouterr().out
 
 
+def test_single_is_rate_vs_n_at_the_same_n(tmp_path):
+    cfg = write_config(tmp_path, trials=3, master_seed=2, n_values=[8])
+    out_s, out_r = tmp_path / "single.csv", tmp_path / "rate.csv"
+    assert main(["single", "--config", cfg, "--out", str(out_s), "--verbose-trials"]) == 0
+    assert main(["rate-vs-n", "--config", cfg, "--out", str(out_r), "--verbose-trials"]) == 0
+    assert out_s.read_bytes() == out_r.read_bytes()
+    assert (tmp_path / "single.trials.csv").read_bytes() == \
+        (tmp_path / "rate.trials.csv").read_bytes()
+
+
+def test_single_writes_a_block_per_n_value(tmp_path):
+    cfg = write_config(tmp_path, trials=2, n_values=[4, 8])
+    out = tmp_path / "single.csv"
+    assert main(["single", "--config", cfg, "--out", str(out)]) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == \
+        ["4"] * 6 + ["8"] * 6
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path, trials=4, master_seed=2, n_values=[4])
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -94,6 +112,16 @@ def test_non_finite_value_is_a_config_error(tmp_path, capsys, scenario, doc, key
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("scenario", ["convergence", "oracle-check"])
+def test_verbose_trials_is_a_config_error_without_a_trial_log(tmp_path, capsys, scenario):
+    cfg = write_config(tmp_path, trials=2)
+    out = tmp_path / "out.csv"
+    assert main([scenario, "--config", cfg, "--out", str(out), "--verbose-trials"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: --verbose-trials: not used by the {scenario} scenario" in err
+    assert not out.exists()
 
 
 def test_missing_config_file_exit_code(tmp_path):

@@ -87,6 +87,8 @@ class TestValidation:
         ("convergence", "p_s_dbm_values", [15.0]),
         ("single", "p_s_dbm_values", [15.0]),
         ("oracle-check", "p_s_dbm_values", [15.0]),
+        ("single", "k_values", [3]),
+        ("oracle-check", "k_values", [1]),
     ])
     def test_key_the_scenario_ignores_names_key(self, scenario, key, value):
         with pytest.raises(ConfigError, match=f"{key}: not used by the {scenario} scenario"):

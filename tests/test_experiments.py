@@ -10,13 +10,11 @@ from irsbeam import (
     dbm_to_watts,
     format_csv,
     max_asnr,
-    monte_carlo_rate,
     monte_carlo_rates,
     parse_config,
     run_convergence,
     run_oracle_check,
     run_rate_vs_n,
-    run_single,
     run_srr_sweep,
     mrr,
     rate,
@@ -47,24 +45,15 @@ def small_config(scenario, **extra):
 
 class TestMonteCarlo:
     def test_single_trial_mean_is_the_trial_rate(self):
-        params = SystemParams.default(8)
-        summary = monte_carlo_rate(Method.MRR, params, trials=1, master_seed=5)
-        rates = monte_carlo_rates(Method.MRR, params, trials=1, master_seed=5)
-        assert summary.mean_rate_bits == rates[0]
-        assert summary.std_rate_bits == 0.0
-        assert summary.trials == 1
+        cfg = small_config("rate-vs-n", n_values=[8], trials=1)
+        rates = monte_carlo_rates(Method.MRR, cfg.params_for(8), trials=1,
+                                  master_seed=cfg.master_seed)
+        assert run_rate_vs_n(cfg).rows[1] == (8, "mrr", rates[0], 0.0, 1)
 
     def test_trial_failure_carries_index(self):
         params = SystemParams.default(4)
         with pytest.raises(RuntimeError, match="trial 0"):
             monte_carlo_rates(Method.SRR, params, 2, 9, k=99)
-
-    def test_summary_fields(self):
-        params = SystemParams.default(8)
-        summary = monte_carlo_rate(Method.SRR, params, 16, 7, k=4, p_s_dbm=15.0)
-        assert summary.method == "srr"
-        assert summary.n == 8 and summary.k == 4
-        assert summary.std_rate_bits >= 0.0
 
 
 class TestConvergenceRun:
@@ -243,8 +232,8 @@ class TestRateVsNRun:
 
 class TestSingleAndOracleRuns:
     def test_single_schema(self):
-        cfg = small_config("single", n_values=[8], k_values=[3])
-        result = run_single(cfg, verbose_trials=True)
+        cfg = small_config("single", n_values=[8])
+        result = run_rate_vs_n(cfg, verbose_trials=True)
         assert result.header == RATE_VS_N_HEADER
         srr_row = [r for r in result.rows if r[1] == "srr"][0]
         assert srr_row[0] == 8
