@@ -148,15 +148,10 @@ class ConvergenceTrace:
 
     records: tuple[TraceRecord, ...]
     converged: bool
-    tolerance: float
 
     @property
     def lambdas(self) -> np.ndarray:
         return np.array([r.lam for r in self.records])
-
-    @property
-    def rates(self) -> np.ndarray:
-        return np.array([r.rate_bits for r in self.records])
 
     @property
     def iterations(self) -> int:
@@ -365,7 +360,7 @@ def max_asnr(ch: ChannelRealization, params: SystemParams,
             lam = new_lam
             break
         lam = new_lam
-    trace = ConvergenceTrace(tuple(records), converged, opts.tolerance)
+    trace = ConvergenceTrace(tuple(records), converged)
     return bf, trace
 
 

@@ -36,11 +36,23 @@ def path_loss_gain(distance: float, exponent: float, ref_loss_db: float) -> floa
     """Linear power gain of a link: 10^(ref_loss_db/10) * distance^(-exponent).
 
     ``ref_loss_db`` is the gain in dB at 1 m; the result is used as the
-    variance of each complex channel entry on that link.
+    variance of each complex channel entry on that link. A gain too large
+    for a float is ``inf``.
     """
     if distance <= 0.0:
         raise ValueError("distance must be positive")
-    return 10.0 ** (ref_loss_db / 10.0) * distance ** (-exponent)
+    try:
+        return 10.0 ** (ref_loss_db / 10.0) * distance ** (-exponent)
+    except OverflowError:
+        return math.inf
+
+
+# Each link: its name, its two end nodes and its path-loss exponent.
+_LINKS = (
+    ("BS-IRS", "pos_bs", "pos_irs", "alpha_bi"),
+    ("IRS-user", "pos_irs", "pos_user", "alpha_iu"),
+    ("BS-user", "pos_bs", "pos_user", "alpha_bu"),
+)
 
 
 @dataclass(frozen=True)
@@ -80,7 +92,11 @@ class SystemParams:
                 raise ValueError(f"{name} must be finite")
         if not math.isfinite(self.ref_loss_db):
             raise ValueError("ref_loss_db must be finite")
-        node_distances(self)  # raises on coincident nodes
+        # link_variances raises on coincident nodes.
+        for (link, a, b, alpha), variance in zip(_LINKS, self.link_variances()):
+            if not 0.0 < variance < math.inf:
+                raise ValueError(f"{link} link variance must be finite and > 0, got "
+                                 f"{variance} (set by {a}, {b}, {alpha} and ref_loss_db)")
 
     @classmethod
     def default(cls, n_elements: int = 64) -> "SystemParams":
@@ -114,16 +130,12 @@ class SystemParams:
 
 def node_distances(params: SystemParams) -> tuple[float, float, float]:
     """Euclidean distances (BS-IRS, IRS-user, BS-user) in meters."""
-    pairs = (
-        (params.pos_bs, params.pos_irs),
-        (params.pos_irs, params.pos_user),
-        (params.pos_bs, params.pos_user),
-    )
     out = []
-    for a, b in pairs:
-        d = math.hypot(a[0] - b[0], a[1] - b[1])
+    for _, a, b, _ in _LINKS:
+        pa, pb = getattr(params, a), getattr(params, b)
+        d = math.hypot(pa[0] - pb[0], pa[1] - pb[1])
         if d <= 0.0:
-            raise ValueError(f"coincident nodes: {a} and {b}")
+            raise ValueError(f"coincident nodes: {a} {pa} and {b} {pb}")
         out.append(d)
     return out[0], out[1], out[2]
 

@@ -98,6 +98,7 @@ def test_unknown_key_exit_code(tmp_path):
 
 
 NAN, INF = float("nan"), float("inf")
+BIG = 10**400  # 401 digits: a JSON integer with no float value
 
 
 @pytest.mark.parametrize("scenario, doc, key", [
@@ -106,9 +107,21 @@ NAN, INF = float("nan"), float("inf")
     ("single", {"ref_loss_db": INF}, "ref_loss_db"),
     ("single", {"p_s_dbm": -INF}, "p_s_dbm"),
     ("srr-sweep", {"p_s_dbm_values": [NAN]}, "p_s_dbm_values"),
+    # Finite in the document, but overflowing or underflowing once converted.
+    ("single", {"p_s_dbm": 4000}, "p_s_dbm"),
+    ("single", {"p_s_dbm": BIG}, "p_s_dbm"),
+    ("single", {"alpha_bi": BIG}, "alpha_bi"),
+    ("single", {"pos_bs": [BIG, 0]}, "pos_bs"),
+    ("srr-sweep", {"p_s_dbm_values": [BIG]}, "p_s_dbm_values"),
+    ("srr-sweep", {"p_s_dbm_values": [4000]}, "p_s_dbm_values"),
+    ("single", {"ref_loss_db": 4000}, "ref_loss_db"),
+    ("single", {"ref_loss_db": -4000}, "ref_loss_db"),
+    ("single", {"alpha_bi": 1e6}, "alpha_bi"),
+    ("single", {"pos_irs": [1e300, 0]}, "pos_irs"),
+    ("srr-sweep", {"n_values": [8, 64]}, "n_values"),
 ])
 def test_non_finite_value_is_a_config_error(tmp_path, capsys, scenario, doc, key):
-    cfg = write_config(tmp_path, trials=2, n_values=[4], **doc)
+    cfg = write_config(tmp_path, **{"trials": 2, "n_values": [4], **doc})
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
@@ -122,6 +135,13 @@ def test_verbose_trials_is_a_config_error_without_a_trial_log(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert f"config error: --verbose-trials: not used by the {scenario} scenario" in err
     assert not out.exists()
+
+
+def test_subcommand_and_out_flag_override_null_document_values(tmp_path):
+    cfg = write_config(tmp_path, scenario=None, output_path=None, trials=2, n_values=[4])
+    out = tmp_path / "out.csv"
+    assert main(["single", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text().startswith("n,method,")
 
 
 def test_missing_config_file_exit_code(tmp_path):

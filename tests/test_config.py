@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from irsbeam import ConfigError, Scenario, SignMode, dbm_to_watts, parse_config
+from irsbeam import (ConfigError, Scenario, SignMode, SolverOptions, SystemParams,
+                     dbm_to_watts, parse_config)
+from irsbeam import config
 
 
 class TestDefaults:
@@ -23,6 +25,8 @@ class TestDefaults:
         assert cfg.solver.tolerance == 1e-4
         assert cfg.solver.max_iterations == 50
         assert cfg.solver.sign_mode is SignMode.ALIGNED
+        assert cfg.params == SystemParams.default(64)
+        assert cfg.solver == SolverOptions()
 
     def test_empty_json_object_equivalent(self):
         assert parse_config("{}") == parse_config("")
@@ -89,10 +93,41 @@ class TestValidation:
         ("oracle-check", "p_s_dbm_values", [15.0]),
         ("single", "k_values", [3]),
         ("oracle-check", "k_values", [1]),
+        ("rate-vs-n", "k_values", None),
+        ("single", "p_s_dbm_values", None),
     ])
     def test_key_the_scenario_ignores_names_key(self, scenario, key, value):
         with pytest.raises(ConfigError, match=f"{key}: not used by the {scenario} scenario"):
             parse_config(json.dumps({key: value}), scenario=scenario)
+
+    @pytest.mark.parametrize("key", sorted(config._ALLOWED_KEYS))
+    def test_null_is_rejected_naming_key(self, key):
+        # srr-sweep reads every key, so each null meets its key's reader.
+        doc = json.dumps({"scenario": "srr-sweep", key: None})
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            parse_config(doc)
+
+    def test_srr_sweep_runs_one_element_count(self):
+        with pytest.raises(ConfigError, match=r"^n_values: srr-sweep runs one element count"):
+            parse_config('{"n_values": [8, 64]}', scenario="srr-sweep")
+        with pytest.raises(ConfigError, match=r"^k_values: entries must be in \[1, 8\]"):
+            parse_config('{"n_values": [8], "k_values": [16]}', scenario="srr-sweep")
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"p_s_dbm": 4000}, "p_s_dbm"),
+        ({"sigma_u_sq_dbm": -4000}, "sigma_u_sq_dbm"),
+        ({"p_i_dbm": 10**400}, "p_i_dbm"),
+        ({"ref_loss_db": 10**400}, "ref_loss_db"),
+        ({"pos_user": [0, -10**400]}, "pos_user"),
+        ({"ref_loss_db": 4000}, "ref_loss_db"),
+        ({"alpha_bu": 1e6}, "alpha_bu"),
+        ({"pos_irs": [1e300, 0]}, "pos_irs"),
+        ({"pos_bs": [0, 0], "pos_irs": [0, 0]}, "pos_bs"),
+        ({"tolerance": 0}, "tolerance"),
+    ])
+    def test_out_of_range_number_names_key(self, doc, key):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            parse_config(json.dumps(doc))
 
     def test_oracle_check_limits_n(self):
         with pytest.raises(ConfigError, match="n_values"):

@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+from irsbeam import config
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -9,3 +11,12 @@ def test_quick_start_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_config_table_names_every_key():
+    text = README.read_text()
+    table = text[text.index("| key | meaning | default |"):]
+    table = table[:table.index("\n\n")]
+    first_column = [row.split("|")[1] for row in table.splitlines()[2:]]
+    names = {name for cell in first_column for name in re.findall(r"`(\w+)`", cell)}
+    assert names == config._ALLOWED_KEYS

@@ -73,6 +73,10 @@ class TestPathLossGain:
     def test_inverse_square_unit_intercept(self):
         assert path_loss_gain(10.0, 2.0, 0.0) == pytest.approx(0.01, rel=1e-12)
 
+    def test_overflow_is_inf(self):
+        assert path_loss_gain(1.0, 2.0, 4000.0) == math.inf
+        assert path_loss_gain(1e-300, 2.3, -30.0) == math.inf
+
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError):
             path_loss_gain(0.0, 2.0, -30.0)
@@ -100,6 +104,17 @@ class TestParamsValidation:
     def test_non_finite_exponent_position_or_loss_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             make_params(**{field: value})
+
+    @pytest.mark.parametrize("overrides, link", [
+        ({"ref_loss_db": 4000.0}, "BS-IRS"),
+        ({"ref_loss_db": -4000.0}, "BS-IRS"),
+        ({"alpha_iu": 1e6}, "IRS-user"),
+        ({"pos_user": (1e300, 0.0)}, "IRS-user"),
+        ({"alpha_bu": 1e6}, "BS-user"),
+    ])
+    def test_link_variance_must_be_finite_and_positive(self, overrides, link):
+        with pytest.raises(ValueError, match=f"^{link} link variance .* ref_loss_db"):
+            make_params(**overrides)
 
     def test_zero_elements_rejected(self):
         with pytest.raises(ValueError, match="n_elements"):
