@@ -39,17 +39,14 @@ from .beamforming import (
     passive_aligned,
 )
 from .metrics import (
-    LinkMetrics,
     reflected_power,
     receive_power,
     snr,
     rate,
     rate_batch,
     asnr_value,
-    link_metrics,
 )
 from .oracle import (
-    GridResolution,
     OracleResult,
     Adjudication,
     grid_search_best,

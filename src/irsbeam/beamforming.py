@@ -103,7 +103,6 @@ class Beamformer:
 
     p_normalized: np.ndarray
     lam: float
-    method: Method
     active_mask: np.ndarray
 
     def __post_init__(self) -> None:
@@ -150,10 +149,6 @@ class ConvergenceTrace:
     converged: bool
 
     @property
-    def lambdas(self) -> np.ndarray:
-        return np.array([r.lam for r in self.records])
-
-    @property
     def iterations(self) -> int:
         """Number of direction/scale updates performed."""
         return len(self.records) - 1
@@ -196,7 +191,7 @@ def egr(ch: ChannelRealization, params: SystemParams) -> Beamformer:
         params.p_i * n
         / (params.p_s * float(np.sum(np.abs(ch.g) ** 2)) + n * params.sigma_i_sq)
     )
-    return Beamformer(p_norm, lam, Method.EGR, np.ones(n, dtype=bool))
+    return Beamformer(p_norm, lam, np.ones(n, dtype=bool))
 
 
 def mrr(ch: ChannelRealization, params: SystemParams) -> Beamformer:
@@ -208,7 +203,7 @@ def mrr(ch: ChannelRealization, params: SystemParams) -> Beamformer:
         raise ValueError("product channel g* o f is identically zero")
     p_norm = (w / nrm) * _direct_phase_factor(ch.h)
     lam = _lambda_matched(ch.g, ch.f, params, np.ones(ch.n_elements, dtype=bool))
-    return Beamformer(p_norm, lam, Method.MRR, np.ones(ch.n_elements, dtype=bool))
+    return Beamformer(p_norm, lam, np.ones(ch.n_elements, dtype=bool))
 
 
 def _lambda_matched(g: np.ndarray, f: np.ndarray, params: SystemParams,
@@ -239,7 +234,7 @@ def srr(ch: ChannelRealization, params: SystemParams, k: int) -> Beamformer:
         raise ValueError("selected product channels are identically zero")
     p_norm = (w / nrm) * _direct_phase_factor(ch.h)
     lam = _lambda_matched(ch.g, ch.f, params, mask)
-    return Beamformer(p_norm, lam, Method.SRR, mask)
+    return Beamformer(p_norm, lam, mask)
 
 
 def _row_norms(w: np.ndarray) -> np.ndarray:
@@ -352,8 +347,7 @@ def max_asnr(ch: ChannelRealization, params: SystemParams,
     for it in range(1, opts.max_iterations + 1):
         p_norm = asnr_direction(ch, params, lam, opts.sign_mode)
         new_lam = lambda_from_normalized(p_norm, ch.g, params)
-        bf = Beamformer(p_norm, new_lam, Method.MAX_ASNR,
-                        np.ones(ch.n_elements, dtype=bool))
+        bf = Beamformer(p_norm, new_lam, np.ones(ch.n_elements, dtype=bool))
         records.append(_trace_record(it, bf, ch, params))
         if abs(new_lam - lam) / lam <= opts.tolerance:
             converged = True
@@ -387,11 +381,6 @@ class MaxAsnrBatch:
     lam: np.ndarray             # (T,) final scale
     records: tuple[tuple[tuple[float, float], ...], ...]
     converged: np.ndarray       # (T,) bool
-
-    @property
-    def iterations(self) -> np.ndarray:
-        """Direction/scale updates performed per row."""
-        return np.array([len(recs) - 1 for recs in self.records])
 
 
 def _asnr_directions(g: np.ndarray, f: np.ndarray, amp_noise: np.ndarray,
@@ -475,7 +464,7 @@ def random_phase(ch: ChannelRealization, params: SystemParams, seed: int) -> Bea
     u = rng.uniform(0.0, 2.0 * math.pi, n)
     p_norm = np.exp(1j * u) / math.sqrt(n)
     lam = lambda_from_normalized(p_norm, ch.g, params)
-    return Beamformer(p_norm, lam, Method.RANDOM_PHASE, np.ones(n, dtype=bool))
+    return Beamformer(p_norm, lam, np.ones(n, dtype=bool))
 
 
 def passive_aligned(ch: ChannelRealization, params: SystemParams) -> Beamformer:
@@ -486,5 +475,4 @@ def passive_aligned(ch: ChannelRealization, params: SystemParams) -> Beamformer:
     theta = np.angle(ch.f * np.conj(ch.g))
     phi = cmath.phase(ch.h) if ch.h != 0 else 0.0
     p_norm = np.exp(1j * (theta - phi)) / math.sqrt(n)
-    return Beamformer(p_norm, math.sqrt(n), Method.PASSIVE_ALIGNED,
-                      np.ones(n, dtype=bool))
+    return Beamformer(p_norm, math.sqrt(n), np.ones(n, dtype=bool))

@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("single", parents=[common],
                    help="all methods on a single configuration")
     sub.add_parser("oracle-check", parents=[common],
-                   help="compare methods against the brute-force grid optimum (n <= 3)")
+                   help="compare methods against the brute-force grid optimum (n <= 2)")
     return parser
 
 

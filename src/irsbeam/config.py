@@ -15,8 +15,10 @@ import math
 import re
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .beamforming import SignMode, SolverOptions
-from .oracle import MAX_ORACLE_ELEMENTS
+from .oracle import CHECK_AMPLITUDE_STEPS, CHECK_MAX_ELEMENTS, CHECK_PHASE_STEPS
 from .system import SystemParams, dbm_to_watts
 
 __all__ = ["Scenario", "ConfigError", "ExperimentConfig", "parse_config"]
@@ -39,6 +41,9 @@ _DEFAULT_N_VALUES = {
     Scenario.RATE_VS_N: (16, 32, 64, 128, 256),
     Scenario.ORACLE_CHECK: (1, 2),
 }
+# The largest N whose per-trial draw, a row of 4N + 2 float64 values, fits
+# numpy's largest array of np.iinfo(np.intp).max bytes.
+_MAX_ELEMENTS = (np.iinfo(np.intp).max // 8 - 2) // 4
 
 def _default_k_grid(n: int) -> tuple[int, ...]:
     """Powers of two from 4 below n, then n itself: (4, 8, ..., n).
@@ -232,9 +237,12 @@ def parse_config(text: str, scenario: str | Scenario | None = None,
              f"must be a 64-bit unsigned integer, got {master_seed}")
 
     for n in n_values:
-        _require(n >= 1, "n_values", f"entries must be >= 1, got {n}")
-        _require(scen is not Scenario.ORACLE_CHECK or n <= MAX_ORACLE_ELEMENTS, "n_values",
-                 f"oracle-check supports n <= {MAX_ORACLE_ELEMENTS}, got {n}")
+        _require(1 <= n <= _MAX_ELEMENTS, "n_values",
+                 f"entries must be in [1, {_MAX_ELEMENTS}], got {n}")
+        _require(scen is not Scenario.ORACLE_CHECK or n <= CHECK_MAX_ELEMENTS, "n_values",
+                 f"oracle-check's {CHECK_PHASE_STEPS} x {CHECK_AMPLITUDE_STEPS} grid holds "
+                 f"n <= {CHECK_MAX_ELEMENTS}; n = {n} would need "
+                 f"({CHECK_PHASE_STEPS} * {CHECK_AMPLITUDE_STEPS})^{n - 1} candidates")
     k_values: tuple[int, ...] = ()
     if scen is Scenario.SRR_SWEEP:
         _require(len(n_values) == 1, "n_values",

@@ -16,7 +16,8 @@ from . import metrics
 from .beamforming import Beamformer, Method, SolverOptions, egr, max_asnr, \
     max_asnr_batch, mrr, passive_aligned, random_phase, srr, srr_batch
 from .config import ExperimentConfig
-from .oracle import grid_search_best, sign_adjudicate
+from .oracle import CHECK_AMPLITUDE_STEPS, CHECK_PHASE_STEPS, grid_search_best, \
+    sign_adjudicate
 from .system import ChannelRealization, SystemParams, sample_channels, \
     sample_channels_batch, trial_seed
 
@@ -218,10 +219,6 @@ def run_rate_vs_n(cfg: ExperimentConfig,
 run_single = run_rate_vs_n
 
 
-ORACLE_PHASE_STEPS = 256
-ORACLE_AMPLITUDE_STEPS = 64
-
-
 def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
     """Compare every method against the brute-force grid optimum at small
     element counts, and tally the sign adjudication per seed."""
@@ -232,8 +229,7 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
         for t in range(cfg.trials):
             seed = trial_seed(cfg.master_seed, t)
             ch = sample_channels(params, seed)
-            best = grid_search_best(ch, params, ORACLE_PHASE_STEPS,
-                                    ORACLE_AMPLITUDE_STEPS)
+            best = grid_search_best(ch, params, CHECK_PHASE_STEPS, CHECK_AMPLITUDE_STEPS)
             for method, k in _summary_cells(n):
                 r = _channel_rate(method, ch, params, cfg.master_seed, t, k, cfg.solver)
                 rows.append((seed, n, method.value, r, best.best_rate_bits,

@@ -11,21 +11,18 @@ coefficient vector p (in which case the scale is taken as ||p||).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .system import ChannelRealization, SystemParams
 
 __all__ = [
-    "LinkMetrics",
     "reflected_power",
     "receive_power",
     "snr",
     "rate",
     "rate_batch",
     "asnr_value",
-    "link_metrics",
 ]
 
 
@@ -34,16 +31,6 @@ def _coefficients(bf_or_p) -> np.ndarray:
     if p is None:
         p = bf_or_p
     return np.asarray(p, dtype=np.complex128)
-
-
-@dataclass(frozen=True)
-class LinkMetrics:
-    """Bundle of the per-realization link quantities (linear units)."""
-
-    snr: float
-    rate_bits: float
-    reflected_power: float
-    receive_power: float
 
 
 def reflected_power(bf_or_p, ch: ChannelRealization, params: SystemParams) -> float:
@@ -144,14 +131,3 @@ def asnr_value(bf_or_p, ch: ChannelRealization, params: SystemParams) -> float:
         + params.sigma_u_sq / lam**2 * np.sum(np.abs(p) ** 2)
     )
     return num / den
-
-
-def link_metrics(bf_or_p, ch: ChannelRealization, params: SystemParams) -> LinkMetrics:
-    """Evaluate all link quantities for one beamformer on one draw."""
-    snr_value = snr(bf_or_p, ch, params)
-    return LinkMetrics(
-        snr=snr_value,
-        rate_bits=rate(snr_value),
-        reflected_power=reflected_power(bf_or_p, ch, params),
-        receive_power=receive_power(bf_or_p, ch, params),
-    )

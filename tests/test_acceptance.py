@@ -120,7 +120,7 @@ def test_criterion_3_convergence_speed():
     for t in range(200):
         ch = sample_channels(params, trial_seed(MASTER_SEED, t))
         _, trace = max_asnr(ch, params)
-        lams = trace.lambdas
+        lams = np.array([r.lam for r in trace.records])
         rel = np.abs(np.diff(lams)) / lams[:-1]
         hits = np.nonzero(rel <= 1e-3)[0]
         if hits.size and hits[0] + 1 <= 3:

@@ -119,6 +119,8 @@ BIG = 10**400  # 401 digits: a JSON integer with no float value
     ("single", {"alpha_bi": 1e6}, "alpha_bi"),
     ("single", {"pos_irs": [1e300, 0]}, "pos_irs"),
     ("srr-sweep", {"n_values": [8, 64]}, "n_values"),
+    ("oracle-check", {"n_values": [3]}, "n_values"),
+    ("single", {"n_values": [10**30]}, "n_values"),
 ])
 def test_non_finite_value_is_a_config_error(tmp_path, capsys, scenario, doc, key):
     cfg = write_config(tmp_path, **{"trials": 2, "n_values": [4], **doc})

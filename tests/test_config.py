@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from irsbeam import (ConfigError, Scenario, SignMode, SolverOptions, SystemParams,
@@ -124,6 +125,9 @@ class TestValidation:
         ({"pos_irs": [1e300, 0]}, "pos_irs"),
         ({"pos_bs": [0, 0], "pos_irs": [0, 0]}, "pos_bs"),
         ({"tolerance": 0}, "tolerance"),
+        # A (256 * 64)^2-candidate grid, and a draw row larger than numpy's largest array.
+        ({"scenario": "oracle-check", "n_values": [3]}, "n_values"),
+        ({"n_values": [10**30]}, "n_values"),
     ])
     def test_out_of_range_number_names_key(self, doc, key):
         with pytest.raises(ConfigError, match=f"^{key}: "):
@@ -132,6 +136,17 @@ class TestValidation:
     def test_oracle_check_limits_n(self):
         with pytest.raises(ConfigError, match="n_values"):
             parse_config('{"n_values": [8]}', scenario="oracle-check")
+        grid = r"^n_values: oracle-check's 256 x 64 grid holds n <= 2; n = 3 would need "
+        with pytest.raises(ConfigError, match=grid + r"\(256 \* 64\)\^2 candidates$"):
+            parse_config('{"n_values": [3]}', scenario="oracle-check")
+        assert parse_config('{"n_values": [2]}', scenario="oracle-check").n_values == (2,)
+
+    def test_largest_element_count_fits_one_numpy_draw_row(self):
+        largest = config._MAX_ELEMENTS
+        assert 8 * (4 * largest + 2) <= np.iinfo(np.intp).max < 8 * (4 * largest + 6)
+        assert parse_config(json.dumps({"n_values": [largest]})).n_values == (largest,)
+        with pytest.raises(ConfigError, match=r"^n_values: entries must be in \[1, "):
+            parse_config(json.dumps({"n_values": [largest + 1]}))
 
 
 class TestOverrides:

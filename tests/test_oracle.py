@@ -10,8 +10,10 @@ from irsbeam import (
     SystemParams,
     build_beamformer,
     grid_search_best,
+    max_asnr,
     metrics,
     mrr,
+    oracle,
     sample_channels,
     sign_adjudicate,
     trial_seed,
@@ -70,8 +72,6 @@ class TestGridSearch:
         ch = sample_channels(params, trial_seed(35, 0))
         result = grid_search_best(ch, params, 16, 8)
         assert result.grid_points_evaluated == 16 * 8
-        assert result.resolution.phase_steps == 16
-        assert result.resolution.amplitude_steps == 8
         one = grid_search_best(sample_channels(SystemParams.default(1), 3),
                                SystemParams.default(1), 16, 8)
         assert one.grid_points_evaluated == 1
@@ -120,6 +120,19 @@ class TestSignAdjudication:
         assert sum(tally.values()) == 100
         majority = max(tally, key=tally.get)
         assert majority in set(Adjudication)
+
+    def test_runs_max_asnr_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return max_asnr(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "max_asnr", counted)
+        params = SystemParams.default(2)
+        for t in range(5):
+            sign_adjudicate(sample_channels(params, trial_seed(9, t)), params)
+        assert len(calls) == 5
 
     def test_guards_large_n(self):
         params = SystemParams.default(4)

@@ -11,6 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from irsbeam import (  # noqa: E402
+    Adjudication,
     ChannelRealization,
     ConfigError,
     ExperimentConfig,
@@ -21,8 +22,12 @@ from irsbeam import (  # noqa: E402
     dbm_to_watts,
     max_asnr,
     max_asnr_batch,
+    rate,
     reflected_power,
+    sample_channels,
     sample_channels_batch,
+    sign_adjudicate,
+    snr,
     trial_seed,
 )
 from irsbeam.config import _ALLOWED_KEYS, parse_config  # noqa: E402
@@ -53,6 +58,40 @@ def test_max_asnr_batch_equals_scalar_and_meets_budget(master_seed, n, trials, p
         assert batch.lam[t] == bf.lam
         p = batch.lam[t] * batch.p_normalized[t]
         assert abs(reflected_power(p, ch, params) / params.p_i - 1.0) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(master_seed=st.integers(0, 2**64 - 1),
+       n=st.one_of(st.integers(1, 3), st.integers(4, 64)),
+       p_s_dbm=st.floats(-20.0, 40.0), p_i_dbm=st.floats(-20.0, 40.0),
+       no_direct_path=st.booleans(), sign_mode=st.sampled_from(list(SignMode)),
+       stop=st.sampled_from([{}, {"tolerance": 1e-16, "max_iterations": 3}]))
+def test_paper_literal_run_is_the_aligned_run_negated(master_seed, n, p_s_dbm, p_i_dbm,
+                                                      no_direct_path, sign_mode, stop):
+    """The scale update reads only |p~(n)|, so flipping the direction's sign
+    leaves every scale, and so the whole run, unchanged but for the sign;
+    ``sign_adjudicate`` relies on this to decide from one run."""
+    params = replace(SystemParams.default(n), p_s=dbm_to_watts(p_s_dbm),
+                     p_i=dbm_to_watts(p_i_dbm))
+    ch = sample_channels(params, trial_seed(master_seed, 0))
+    if no_direct_path:
+        ch = replace(ch, h=0j)
+    aligned, aligned_trace = max_asnr(ch, params,
+                                      SolverOptions(sign_mode=SignMode.ALIGNED, **stop))
+    literal, literal_trace = max_asnr(ch, params,
+                                      SolverOptions(sign_mode=SignMode.LITERAL, **stop))
+    assert np.array_equal(literal.p_normalized, -aligned.p_normalized)
+    assert literal.lam == aligned.lam
+    assert [r.lam for r in literal_trace.records] == [r.lam for r in aligned_trace.records]
+    assert literal_trace.iterations == aligned_trace.iterations
+    assert literal_trace.converged == aligned_trace.converged
+    if n <= 3:
+        # The verdict from two full runs, one per sign.
+        diff = rate(snr(aligned, ch, params)) - rate(snr(literal, ch, params))
+        expected = (Adjudication.TIE if abs(diff) < 1e-6 else
+                    Adjudication.ALIGNED_BETTER if diff > 0 else Adjudication.LITERAL_BETTER)
+        assert sign_adjudicate(ch, params, SolverOptions(sign_mode=sign_mode, **stop)) \
+            is expected
 
 
 # Arbitrary JSON values: null, bools, strings, small and 401-digit integers,
