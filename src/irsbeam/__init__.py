@@ -17,6 +17,7 @@ from .system import (
     sample_channels,
     sample_channels_batch,
     trial_seed,
+    trial_seeds,
 )
 from .beamforming import (
     Method,

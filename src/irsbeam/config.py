@@ -55,6 +55,9 @@ def _default_k_grid(n: int) -> tuple[int, ...]:
 _DEFAULT_PARAMS = SystemParams.default()
 _DEFAULT_SOLVER = SolverOptions()
 DEFAULT_TRIALS = 1000
+# Trial indices stay below 2**32, so each one is a single 32-bit word of
+# seed entropy (``system.trial_seeds``).
+MAX_TRIALS = 2**32
 DEFAULT_MASTER_SEED = 12345
 DEFAULT_P_S_DBM_GRID = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
@@ -231,7 +234,8 @@ def parse_config(text: str, scenario: str | Scenario | None = None,
     n_values = values.get("n_values",
                           _DEFAULT_N_VALUES.get(scen, (_DEFAULT_PARAMS.n_elements,)))
     trials = values.get("trials", DEFAULT_TRIALS)
-    _require(trials >= 1, "trials", f"must be >= 1, got {trials}")
+    _require(1 <= trials <= MAX_TRIALS, "trials",
+             f"must be in [1, {MAX_TRIALS}], got {trials}")
     master_seed = values.get("master_seed", DEFAULT_MASTER_SEED)
     _require(0 <= master_seed < 2**64, "master_seed",
              f"must be a 64-bit unsigned integer, got {master_seed}")

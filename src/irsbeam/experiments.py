@@ -19,7 +19,7 @@ from .config import ExperimentConfig
 from .oracle import CHECK_AMPLITUDE_STEPS, CHECK_PHASE_STEPS, grid_search_best, \
     sign_adjudicate
 from .system import ChannelRealization, SystemParams, sample_channels, \
-    sample_channels_batch, trial_seed
+    sample_channels_batch, trial_seed, trial_seeds
 
 __all__ = [
     "ExperimentResult",
@@ -58,29 +58,37 @@ class ExperimentResult:
     notes: tuple[str, ...] = ()
 
 
+def _design(method: Method, ch: ChannelRealization, params: SystemParams,
+            k: int | None, solver: SolverOptions | None,
+            phase_seed: int | None) -> tuple[Beamformer, bool]:
+    """One beamformer design by method tag, and whether its iteration
+    converged (the closed-form designs always do)."""
+    if method is Method.EGR:
+        return egr(ch, params), True
+    if method is Method.MRR:
+        return mrr(ch, params), True
+    if method is Method.SRR:
+        if k is None:
+            raise ValueError("SRR requires a selection size k")
+        return srr(ch, params, k), True
+    if method is Method.MAX_ASNR:
+        bf, trace = max_asnr(ch, params, solver or SolverOptions())
+        return bf, trace.converged
+    if method is Method.RANDOM_PHASE:
+        if phase_seed is None:
+            raise ValueError("random-phase requires a seed")
+        return random_phase(ch, params, phase_seed), True
+    if method is Method.PASSIVE_ALIGNED:
+        return passive_aligned(ch, params), True
+    raise ValueError(f"unsupported method {method!r}")
+
+
 def build_beamformer(method: Method, ch: ChannelRealization, params: SystemParams,
                      k: int | None = None,
                      solver: SolverOptions | None = None,
                      phase_seed: int | None = None) -> Beamformer:
     """Dispatch one beamformer design by method tag."""
-    if method is Method.EGR:
-        return egr(ch, params)
-    if method is Method.MRR:
-        return mrr(ch, params)
-    if method is Method.SRR:
-        if k is None:
-            raise ValueError("SRR requires a selection size k")
-        return srr(ch, params, k)
-    if method is Method.MAX_ASNR:
-        bf, _ = max_asnr(ch, params, solver or SolverOptions())
-        return bf
-    if method is Method.RANDOM_PHASE:
-        if phase_seed is None:
-            raise ValueError("random-phase requires a seed")
-        return random_phase(ch, params, phase_seed)
-    if method is Method.PASSIVE_ALIGNED:
-        return passive_aligned(ch, params)
-    raise ValueError(f"unsupported method {method!r}")
+    return _design(method, ch, params, k, solver, phase_seed)[0]
 
 
 def _summary_cells(n: int) -> list[tuple[Method, int | None]]:
@@ -91,28 +99,40 @@ def _summary_cells(n: int) -> list[tuple[Method, int | None]]:
 
 def _channel_rate(method: Method, ch: ChannelRealization, params: SystemParams,
                   master_seed: int, trial: int, k: int | None,
-                  solver: SolverOptions | None) -> float:
-    """Rate of one design on the channel already drawn for ``trial``."""
-    bf = build_beamformer(method, ch, params, k=k, solver=solver,
-                          phase_seed=trial_seed(master_seed, trial, stream=1))
-    return metrics.rate(metrics.snr(bf, ch, params))
+                  solver: SolverOptions | None) -> tuple[float, bool]:
+    """Rate of one design on the channel already drawn for ``trial``, and
+    whether the design converged."""
+    bf, converged = _design(method, ch, params, k, solver,
+                            trial_seed(master_seed, trial, stream=1))
+    return metrics.rate(metrics.snr(bf, ch, params)), converged
 
 
-def monte_carlo_rates(method: Method, params: SystemParams, trials: int,
-                      master_seed: int, k: int | None = None,
-                      solver: SolverOptions | None = None) -> np.ndarray:
-    """Per-trial achievable rates, in trial order."""
+def _trial_rates(method: Method, params: SystemParams, trials: int, master_seed: int,
+                 k: int | None, solver: SolverOptions | None) -> tuple[np.ndarray, int]:
+    """Per-trial rates in trial order, and how many designs did not converge."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    def one(t: int) -> float:
+    def one(t: int) -> tuple[float, bool]:
         try:
             ch = sample_channels(params, trial_seed(master_seed, t))
             return _channel_rate(method, ch, params, master_seed, t, k, solver)
         except Exception as err:
             raise RuntimeError(f"trial {t} failed for method {method.value}: {err}") from err
 
-    return np.array([one(t) for t in range(trials)])
+    rates, converged = zip(*(one(t) for t in range(trials)))
+    return np.array(rates), converged.count(False)
+
+
+def monte_carlo_rates(method: Method, params: SystemParams, trials: int,
+                      master_seed: int, k: int | None = None,
+                      solver: SolverOptions | None = None) -> np.ndarray:
+    """Per-trial achievable rates, in trial order."""
+    return _trial_rates(method, params, trials, master_seed, k, solver)[0]
+
+
+def _unconverged_note(unconverged: int, runs: int) -> str:
+    return f"max-asnr: {unconverged} of {runs} runs did not converge"
 
 
 # Trials drawn and designed together by ``run_convergence``. Larger blocks
@@ -126,23 +146,24 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
 
     Trials are drawn and designed in blocks of ``CONVERGENCE_BLOCK`` with
     ``max_asnr_batch``, which equals ``max_asnr`` trial by trial, bit for
-    bit. A note counts the runs that hit ``max_iterations``.
+    bit. The seeds of all trials are mixed once, since they do not depend
+    on N. A note counts the runs that hit ``max_iterations``.
     """
     rows: list[tuple] = []
     unconverged = 0
+    all_seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
     for n in cfg.n_values:
         params = cfg.params_for(n)
         for start in range(0, cfg.trials, CONVERGENCE_BLOCK):
-            trials = np.arange(start, min(start + CONVERGENCE_BLOCK, cfg.trials))
-            seeds = [trial_seed(cfg.master_seed, t) for t in trials.tolist()]
+            seeds = all_seeds[start:start + CONVERGENCE_BLOCK]
             g, f, h = sample_channels_batch(params, seeds)
-            batch = max_asnr_batch(g, f, h, params, cfg.solver, trials)
+            batch = max_asnr_batch(g, f, h, params, cfg.solver,
+                                   np.arange(start, start + len(seeds)))
             rows.extend((seed, it, lam, rate_bits)
                         for seed, records in zip(seeds, batch.records)
                         for it, (lam, rate_bits) in enumerate(records))
             unconverged += int(np.count_nonzero(~batch.converged))
-    runs = len(cfg.n_values) * cfg.trials
-    notes = (f"max-asnr: {unconverged} of {runs} runs did not converge",)
+    notes = (_unconverged_note(unconverged, len(cfg.n_values) * cfg.trials),)
     return ExperimentResult(CONVERGENCE_HEADER, rows, notes=notes)
 
 
@@ -157,7 +178,7 @@ def run_srr_sweep(cfg: ExperimentConfig,
     ``metrics.rate`` trial by trial, bit for bit.
     """
     n = cfg.n_values[0]
-    seeds = [trial_seed(cfg.master_seed, t) for t in range(cfg.trials)]
+    seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
     g, f, h = sample_channels_batch(cfg.params_for(n), seeds)
     cells = [(Method.SRR, k) for k in cfg.k_values] + [(Method.MRR, n)]
     designs = {k: srr_batch(g, f, h, k) for k in {k for _, k in cells}}
@@ -192,14 +213,17 @@ def run_rate_vs_n(cfg: ExperimentConfig,
                   verbose_trials: bool = False) -> ExperimentResult:
     """Mean rate of every method across the element-count grid, on the
     cells of ``_summary_cells``. Also runs ``single``, whose default grid
-    is N = 64."""
+    is N = 64. A note counts the ``max_asnr`` runs that hit
+    ``max_iterations``."""
     rows: list[tuple] = []
     trial_rows: list[tuple] = []
+    unconverged = 0
     for n in cfg.n_values:
         params = cfg.params_for(n)
         for method, k in _summary_cells(n):
-            rates = monte_carlo_rates(method, params, cfg.trials, cfg.master_seed,
-                                      k=k, solver=cfg.solver)
+            rates, missed = _trial_rates(method, params, cfg.trials, cfg.master_seed,
+                                         k, cfg.solver)
+            unconverged += missed
             rows.append((n, method.value, float(np.mean(rates)),
                          _sample_std(rates), cfg.trials))
             if verbose_trials:
@@ -212,6 +236,7 @@ def run_rate_vs_n(cfg: ExperimentConfig,
         trial_header=("n", "method", "trial", "seed", "rate_bits")
         if verbose_trials else None,
         trial_rows=trial_rows if verbose_trials else None,
+        notes=(_unconverged_note(unconverged, len(cfg.n_values) * cfg.trials),),
     )
 
 
@@ -221,9 +246,11 @@ run_single = run_rate_vs_n
 
 def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
     """Compare every method against the brute-force grid optimum at small
-    element counts, and tally the sign adjudication per seed."""
+    element counts, and tally the sign adjudication per seed. A note
+    counts the ``max_asnr`` design runs that hit ``max_iterations``."""
     rows: list[tuple] = []
     tallies: dict[str, int] = {}
+    unconverged = 0
     for n in cfg.n_values:
         params = cfg.params_for(n)
         for t in range(cfg.trials):
@@ -231,30 +258,43 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
             ch = sample_channels(params, seed)
             best = grid_search_best(ch, params, CHECK_PHASE_STEPS, CHECK_AMPLITUDE_STEPS)
             for method, k in _summary_cells(n):
-                r = _channel_rate(method, ch, params, cfg.master_seed, t, k, cfg.solver)
+                r, converged = _channel_rate(method, ch, params, cfg.master_seed, t, k,
+                                             cfg.solver)
+                unconverged += not converged
                 rows.append((seed, n, method.value, r, best.best_rate_bits,
                              best.best_rate_bits - r))
             verdict = sign_adjudicate(ch, params, cfg.solver).value
             tallies[verdict] = tallies.get(verdict, 0) + 1
     notes = tuple(
         f"sign adjudication: {name} x {count}" for name, count in sorted(tallies.items())
-    )
+    ) + (_unconverged_note(unconverged, len(cfg.n_values) * cfg.trials),)
     return ExperimentResult(ORACLE_CHECK_HEADER, rows, notes=notes)
 
 
-def _format_value(value) -> str:
+def _conversion(value) -> str:
     if isinstance(value, str):
-        return value
+        return "%s"
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return "%d"
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
+        return "%.12g"
     raise TypeError(f"cannot serialize {value!r} into CSV")
 
 
 def format_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
     """Render rows with fixed column order, 12-significant-digit floats,
-    and LF line endings, so identical results yield identical bytes."""
+    and LF line endings, so identical results yield identical bytes.
+
+    Strings are written as they are, integers (bool and numpy integers
+    too) as decimal digits, floats (numpy floats too) with ``%.12g``; any
+    other value raises TypeError. Each row is rendered by one %-template,
+    made once per tuple of value types."""
+    templates: dict[tuple[type, ...], str] = {}
     lines = [",".join(header)]
-    lines.extend(",".join(_format_value(v) for v in row) for row in rows)
+    for row in rows:
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(_conversion, row))
+        lines.append(template % row)
     return "\n".join(lines) + "\n"

@@ -86,6 +86,29 @@ def test_seed_and_trials_flags_override(tmp_path):
     assert out_b.read_text().splitlines()[1].endswith(",5")
 
 
+def test_trials_flag_above_the_bound_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["convergence", "--trials", str(2**32 + 1), "--out", str(out)]) == 2
+    assert "config error: trials:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Not N = 1: there the direction is a single phase and the scale update
+# returns the scale it started from, so even a 1e-300 tolerance stops it.
+@pytest.mark.parametrize("scenario, n_values", [
+    ("rate-vs-n", [2, 4]), ("single", [4]), ("oracle-check", [2])])
+def test_summary_scenarios_count_unconverged_max_asnr_runs(tmp_path, capsys, scenario,
+                                                          n_values):
+    runs = 3 * len(n_values)
+    out = tmp_path / "out.csv"
+    for solver, unconverged in (({}, 0), ({"tolerance": 1e-300, "max_iterations": 2}, runs)):
+        cfg = write_config(tmp_path, trials=3, n_values=n_values, **solver)
+        assert main([scenario, "--config", cfg, "--out", str(out)]) == 0
+        note = f"max-asnr: {unconverged} of {runs} runs did not converge"
+        assert note in capsys.readouterr().out.splitlines()
+        assert "converge" not in out.read_text()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, trials=0)
     assert main(["single", "--config", cfg]) == 2

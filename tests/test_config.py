@@ -55,6 +55,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="k_values"):
             parse_config(doc)
 
+    def test_trials_bound_is_parsed_not_run(self):
+        assert parse_config(json.dumps({"trials": 2**32})).trials == 2**32
+        for doc, overrides in ((json.dumps({"trials": 2**32 + 1}), None),
+                               (json.dumps({"trials": 10**30}), None),
+                               ("{}", {"trials": 2**32 + 1})):
+            with pytest.raises(ConfigError, match=r"^trials: must be in \[1, 4294967296\]"):
+                parse_config(doc, overrides=overrides)
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config('{"num_trials": 10}')

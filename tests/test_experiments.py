@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -259,3 +260,64 @@ class TestCsvFormatting:
         a = format_csv(RATE_VS_N_HEADER, run_rate_vs_n(cfg).rows)
         b = format_csv(RATE_VS_N_HEADER, run_rate_vs_n(cfg).rows)
         assert a == b
+
+
+def _format_value(value) -> str:
+    # The writer's per-value rules before rows were rendered through cached
+    # templates: the oracle the writer must match byte for byte.
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".12g")
+    raise TypeError(f"cannot serialize {value!r} into CSV")
+
+
+def _oracle_csv(header, rows):
+    lines = [",".join(header)]
+    lines.extend(",".join(_format_value(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriterMatchesPerValueRules:
+    VALUES = ["mrr", "", "a b", True, False, 0, -7, 2**70, 0.0, -0.0, 0.1, 1 / 3, -2.5e-300,
+              1e300, float("nan"), float("inf"), -float("inf"), np.int32(-5),
+              np.int64(2**62 + 1), np.uint64(2**64 - 1), np.float32(0.1), np.float32(-3e38),
+              np.float64(2 / 3), np.float64(1e-320)]
+
+    def test_every_value_type(self):
+        rows = [(v,) for v in self.VALUES] + [tuple(self.VALUES), tuple(self.VALUES[::-1])]
+        assert format_csv(("x",), rows) == _oracle_csv(("x",), rows)
+
+    def test_column_mixing_int_and_float(self):
+        header = ("a", "b")
+        rows = [(1, 0.5), (2.5, 3), (np.int64(4), np.float32(1.5)), (True, 7.0), (1, 0.5)]
+        assert format_csv(header, rows) == _oracle_csv(header, rows) == \
+            "a,b\n1,0.5\n2.5,3\n4,1.5\n1,7\n1,0.5\n"
+
+    @pytest.mark.parametrize("scenario, extra", [
+        ("convergence", {"n_values": [4, 16]}),
+        ("srr-sweep", {"n_values": [8], "k_values": [2, 8], "p_s_dbm_values": [0.0, 15.0]}),
+        ("rate-vs-n", {"n_values": [4, 8]}),
+        ("single", {"n_values": [4]}),
+        ("oracle-check", {"n_values": [1, 2], "trials": 2}),
+    ])
+    def test_rows_of_every_scenario(self, scenario, extra):
+        from irsbeam.cli import _RUNNERS, _SUPPORTS_TRIAL_LOG
+        cfg = small_config(scenario, **extra)
+        runner = _RUNNERS[cfg.scenario]
+        result = (runner(cfg, verbose_trials=True) if cfg.scenario in _SUPPORTS_TRIAL_LOG
+                  else runner(cfg))
+        tables = [(result.header, result.rows)]
+        if result.trial_rows is not None:
+            tables.append((result.trial_header, result.trial_rows))
+        for header, rows in tables:
+            assert rows
+            assert format_csv(header, rows) == _oracle_csv(header, rows)
+
+    @pytest.mark.parametrize("bad", [None, object()])
+    def test_unsupported_value_raises_naming_it(self, bad):
+        format_csv(("a", "b"), [(1, 2)])
+        with pytest.raises(TypeError, match=re.escape(f"cannot serialize {bad!r}")):
+            format_csv(("a", "b"), [(1, 2), (1, bad)])

@@ -20,15 +20,21 @@ from irsbeam import (  # noqa: E402
     SolverOptions,
     SystemParams,
     dbm_to_watts,
+    egr,
     max_asnr,
     max_asnr_batch,
+    mrr,
+    passive_aligned,
+    random_phase,
     rate,
     reflected_power,
     sample_channels,
     sample_channels_batch,
     sign_adjudicate,
     snr,
+    srr,
     trial_seed,
+    trial_seeds,
 )
 from irsbeam.config import _ALLOWED_KEYS, parse_config  # noqa: E402
 
@@ -58,6 +64,60 @@ def test_max_asnr_batch_equals_scalar_and_meets_budget(master_seed, n, trials, p
         assert batch.lam[t] == bf.lam
         p = batch.lam[t] * batch.p_normalized[t]
         assert abs(reflected_power(p, ch, params) / params.p_i - 1.0) <= 1e-12
+
+
+# Seeds at both ends of the one- and two-word entropy ranges.
+_EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@PROPERTY_SETTINGS
+@given(master_seed=st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+       stream=st.integers(0, 2), count=st.integers(1, 50), data=st.data())
+def test_trial_seeds_equal_trial_seed(master_seed, stream, count, data):
+    start = data.draw(st.one_of(st.sampled_from([0, 2**32 - count]),
+                                st.integers(0, 2**32 - count)))
+    trials = range(start, start + count)
+    assert trial_seeds(master_seed, trials, stream) == \
+        [trial_seed(master_seed, t, stream) for t in trials]
+
+
+@PROPERTY_SETTINGS
+@given(seeds=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+                      max_size=8).flatmap(lambda extra: st.permutations(
+                          [0, 1, *_EDGE_SEEDS[1:], *extra])),
+       n=st.integers(1, 16))
+def test_batch_draws_equal_default_rng_for_mixed_seed_words(seeds, n):
+    params = SystemParams.default(n)
+    g, f, h = sample_channels_batch(params, seeds)
+    var_bi, var_iu, var_bu = params.link_variances()
+    for t, seed in enumerate(seeds):
+        z = np.random.default_rng(seed).standard_normal(4 * n + 2)
+        assert np.array_equal(g[t], np.sqrt(var_bi / 2.0) * (z[:n] + 1j * z[n:2 * n]))
+        assert np.array_equal(f[t], np.sqrt(var_iu / 2.0) * (z[2 * n:3 * n] + 1j * z[3 * n:4 * n]))
+        assert h[t] == np.sqrt(var_bu / 2.0) * (z[4 * n] + 1j * z[4 * n + 1])
+
+
+@PROPERTY_SETTINGS
+@given(master_seed=st.integers(0, 2**64 - 1), n=st.integers(1, 64), data=st.data(),
+       p_s_dbm=st.floats(-20.0, 40.0), p_i_dbm=st.floats(-20.0, 40.0))
+def test_every_budget_constrained_design_spends_the_whole_budget(master_seed, n, data,
+                                                                  p_s_dbm, p_i_dbm):
+    params = replace(SystemParams.default(n), p_s=dbm_to_watts(p_s_dbm),
+                     p_i=dbm_to_watts(p_i_dbm))
+    ch = sample_channels(params, trial_seed(master_seed, 0))
+    k = data.draw(st.integers(1, n), label="k")
+    designs = {
+        "egr": egr(ch, params),
+        "mrr": mrr(ch, params),
+        f"srr k={k}": srr(ch, params, k),
+        "random_phase": random_phase(ch, params, trial_seed(master_seed, 0, stream=1)),
+        **{f"max_asnr {mode.value}": max_asnr(ch, params, SolverOptions(sign_mode=mode))[0]
+           for mode in SignMode},
+    }
+    for name, bf in designs.items():
+        assert abs(reflected_power(bf, ch, params) / params.p_i - 1.0) <= 1e-12, name
+    # The passive baseline has no budget: every coefficient has unit modulus.
+    assert np.max(np.abs(np.abs(passive_aligned(ch, params).p) - 1.0)) <= 1e-12
 
 
 @PROPERTY_SETTINGS

@@ -11,6 +11,7 @@ from irsbeam import (
     sample_channels,
     sample_channels_batch,
     trial_seed,
+    trial_seeds,
 )
 
 from conftest import make_params
@@ -177,14 +178,15 @@ class TestSampleChannels:
         # The documented layout: per seed, draw (2, N) normals for g, then
         # (2, N) for f, then (2, 1) for h, from one generator.
         params = SystemParams.default(n)
-        seeds = [trial_seed(11, t) for t in range(20)]
+        # One- and two-word seeds at both ends of each range, mixed in one batch.
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [trial_seed(11, t) for t in range(20)]
         variances = params.link_variances()
         calls = []
         monkeypatch.setattr(SystemParams, "link_variances",
                             lambda self: calls.append(self) or variances)
         g, f, h = sample_channels_batch(params, seeds)
         assert len(calls) == 1
-        assert g.shape == f.shape == (20, n) and h.shape == (20,)
+        assert g.shape == f.shape == (25, n) and h.shape == (25,)
         for t, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
             expected = [math.sqrt(v / 2.0) * (z[0] + 1j * z[1])
@@ -206,3 +208,28 @@ class TestTrialSeed:
     def test_distinct_trials_and_streams(self):
         seeds = {trial_seed(9, t, stream=s) for t in range(100) for s in (0, 1)}
         assert len(seeds) == 200
+
+    def test_trial_seeds_reject_inputs_wider_than_their_words(self):
+        for trials in ([2**32], [-1], [0, 2**40]):
+            with pytest.raises(ValueError, match=r"trial indices must be in \[0, 2\*\*32\)"):
+                trial_seeds(1, trials)
+        for master, stream in ((2**64, 0), (-1, 0), (1, 2**32), (1, -1)):
+            with pytest.raises(ValueError, match=r"master_seed must be in \[0, 2\*\*64\)"):
+                trial_seeds(master, [0], stream)
+        assert trial_seeds(5, range(0)) == []
+
+
+class TestBatchSeeding:
+    def test_numpy_integer_seeds_and_empty_batch(self):
+        params = SystemParams.default(4)
+        seeds = [np.uint64(2**64 - 1), np.int32(7)]
+        g, _, _ = sample_channels_batch(params, seeds)
+        assert np.array_equal(g, sample_channels_batch(params, [2**64 - 1, 7])[0])
+        g, f, h = sample_channels_batch(params, [])
+        assert g.shape == f.shape == (0, 4) and h.shape == (0,)
+
+    @pytest.mark.parametrize("seeds, error", [([-1], ValueError), ([2**64], ValueError),
+                                              ([1.5], TypeError)])
+    def test_rejects_seeds_outside_64_bits(self, seeds, error):
+        with pytest.raises(error):
+            sample_channels_batch(SystemParams.default(4), seeds)
