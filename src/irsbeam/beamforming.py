@@ -25,12 +25,13 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .system import ChannelRealization, SystemParams
 from . import metrics
-from .metrics import _require_rows
+from .metrics import _norm, _require_rows
 
 __all__ = [
     "Method",
@@ -112,11 +113,11 @@ class Beamformer:
         object.__setattr__(self, "active_mask", mask)
         if p.ndim != 1 or mask.shape != p.shape:
             raise ValueError("p_normalized and active_mask must be 1-D and equal length")
-        if abs(np.linalg.norm(p) - 1.0) > 1e-12:
+        if abs(_norm(p) - 1.0) > 1e-12:
             raise ValueError("p_normalized must have unit 2-norm")
         if not self.lam > 0.0:
             raise ValueError("lam must be positive")
-        if np.any(p[~mask] != 0.0):
+        if not mask.all() and (p[~mask] != 0.0).any():
             raise ValueError("inactive entries must be exactly zero")
 
     @property
@@ -136,22 +137,33 @@ class TraceRecord:
     rate_bits: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceTrace:
     """Per-iteration record of the alternating iteration.
 
-    Record 0 is the initialization (the MRR scale and beamformer); the
+    ``iterates`` holds the beamformer of every pass on ``channel``, iterate
+    0 being the initialization (the MRR scale and beamformer); the
     ``converged`` flag is False when the loop hit max_iterations without
-    meeting the stopping rule.
+    meeting the stopping rule. The rates in ``records`` are computed the
+    first time it is read; ``iterations`` and ``converged`` do not need them.
     """
 
-    records: tuple[TraceRecord, ...]
+    iterates: tuple[Beamformer, ...]
+    channel: ChannelRealization
+    params: SystemParams
     converged: bool
 
     @property
     def iterations(self) -> int:
         """Number of direction/scale updates performed."""
-        return len(self.records) - 1
+        return len(self.iterates) - 1
+
+    @cached_property
+    def records(self) -> tuple[TraceRecord, ...]:
+        """Scale and rate of every iterate, in iteration order."""
+        return tuple(
+            TraceRecord(it, bf.lam, metrics.rate(metrics.snr(bf, self.channel, self.params)))
+            for it, bf in enumerate(self.iterates))
 
 
 def _direct_phase_factor(h: complex) -> complex:
@@ -172,13 +184,13 @@ def lambda_from_normalized(p_norm: np.ndarray, g: np.ndarray, params: SystemPara
     g = np.asarray(g, dtype=np.complex128)
     if p_norm.shape != g.shape:
         raise ValueError("p_norm and g must have equal length")
-    nrm = np.linalg.norm(p_norm)
+    nrm = _norm(p_norm)
     if nrm == 0.0:
         raise ValueError("p_norm must be nonzero")
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("p_norm must have unit 2-norm")
-    signal = np.sum(np.abs(p_norm * g) ** 2)
-    noise = np.sum(np.abs(p_norm) ** 2)
+    signal = (np.abs(p_norm * g) ** 2).sum()
+    noise = (np.abs(p_norm) ** 2).sum()
     return math.sqrt(params.p_i / (params.p_s * signal + params.sigma_i_sq * noise))
 
 
@@ -189,7 +201,7 @@ def egr(ch: ChannelRealization, params: SystemParams) -> Beamformer:
     p_norm = np.exp(1j * theta) / math.sqrt(n)
     lam = math.sqrt(
         params.p_i * n
-        / (params.p_s * float(np.sum(np.abs(ch.g) ** 2)) + n * params.sigma_i_sq)
+        / (params.p_s * float((np.abs(ch.g) ** 2).sum()) + n * params.sigma_i_sq)
     )
     return Beamformer(p_norm, lam, np.ones(n, dtype=bool))
 
@@ -198,22 +210,20 @@ def mrr(ch: ChannelRealization, params: SystemParams) -> Beamformer:
     """Ratio-matched reflecting: p~ proportional to g* o f, rotated by
     exp(-j arg(h)) so the reflected sum adds in phase with the direct path."""
     w = np.conj(ch.g) * ch.f
-    nrm = np.linalg.norm(w)
+    nrm = _norm(w)
     if nrm == 0.0:
         raise ValueError("product channel g* o f is identically zero")
     p_norm = (w / nrm) * _direct_phase_factor(ch.h)
-    lam = _lambda_matched(ch.g, ch.f, params, np.ones(ch.n_elements, dtype=bool))
+    lam = _lambda_matched(ch.g, ch.f, params)
     return Beamformer(p_norm, lam, np.ones(ch.n_elements, dtype=bool))
 
 
-def _lambda_matched(g: np.ndarray, f: np.ndarray, params: SystemParams,
-                    mask: np.ndarray) -> float:
+def _lambda_matched(g: np.ndarray, f: np.ndarray, params: SystemParams) -> float:
     # Closed-form scale for a direction proportional to g* o f on the
-    # masked subset: lam = sqrt(P_I S2 / (P_S S4 + sigma_I^2 S2)) with
-    # S2 = sum |g f|^2 and S4 = sum |f|^2 |g|^4 over active elements.
-    gf_sq = np.abs(g[mask] * f[mask]) ** 2
-    s2 = float(np.sum(gf_sq))
-    s4 = float(np.sum(np.abs(f[mask]) ** 2 * np.abs(g[mask]) ** 4))
+    # selected elements g, f: lam = sqrt(P_I S2 / (P_S S4 + sigma_I^2 S2))
+    # with S2 = sum |g f|^2 and S4 = sum |f|^2 |g|^4.
+    s2 = float((np.abs(g * f) ** 2).sum())
+    s4 = float((np.abs(f) ** 2 * np.abs(g) ** 4).sum())
     return math.sqrt(params.p_i * s2 / (params.p_s * s4 + params.sigma_i_sq * s2))
 
 
@@ -227,13 +237,14 @@ def srr(ch: ChannelRealization, params: SystemParams, k: int) -> Beamformer:
     order = np.argsort(-magnitudes, kind="stable")
     mask = np.zeros(n, dtype=bool)
     mask[order[:k]] = True
+    g_sel, f_sel = ch.g[mask], ch.f[mask]
     w = np.zeros(n, dtype=np.complex128)
-    w[mask] = np.conj(ch.g[mask]) * ch.f[mask]
-    nrm = np.linalg.norm(w)
+    w[mask] = np.conj(g_sel) * f_sel
+    nrm = _norm(w)
     if nrm == 0.0:
         raise ValueError("selected product channels are identically zero")
     p_norm = (w / nrm) * _direct_phase_factor(ch.h)
-    lam = _lambda_matched(ch.g, ch.f, params, mask)
+    lam = _lambda_matched(g_sel, f_sel, params)
     return Beamformer(p_norm, lam, mask)
 
 
@@ -321,7 +332,7 @@ def asnr_direction(ch: ChannelRealization, params: SystemParams, lam: float,
         raise ValueError("lam must be positive")
     d = params.sigma_i_sq * np.abs(ch.f) ** 2 + params.sigma_u_sq / lam**2
     w = np.conj(ch.g) * ch.f / d
-    nrm = np.linalg.norm(w)
+    nrm = _norm(w)
     if nrm == 0.0:
         raise ValueError("product channel g* o f is identically zero")
     s = _direct_phase_factor(ch.h)
@@ -342,29 +353,18 @@ def max_asnr(ch: ChannelRealization, params: SystemParams,
     """
     bf = mrr(ch, params)
     lam = bf.lam
-    records = [_trace_record(0, bf, ch, params)]
+    iterates = [bf]
     converged = False
-    for it in range(1, opts.max_iterations + 1):
+    for _ in range(opts.max_iterations):
         p_norm = asnr_direction(ch, params, lam, opts.sign_mode)
         new_lam = lambda_from_normalized(p_norm, ch.g, params)
         bf = Beamformer(p_norm, new_lam, np.ones(ch.n_elements, dtype=bool))
-        records.append(_trace_record(it, bf, ch, params))
+        iterates.append(bf)
         if abs(new_lam - lam) / lam <= opts.tolerance:
             converged = True
-            lam = new_lam
             break
         lam = new_lam
-    trace = ConvergenceTrace(tuple(records), converged)
-    return bf, trace
-
-
-def _trace_record(iteration: int, bf: Beamformer, ch: ChannelRealization,
-                  params: SystemParams) -> TraceRecord:
-    return TraceRecord(
-        iteration=iteration,
-        lam=bf.lam,
-        rate_bits=metrics.rate(metrics.snr(bf, ch, params)),
-    )
+    return bf, ConvergenceTrace(tuple(iterates), ch, params, converged)
 
 
 @dataclass(frozen=True)

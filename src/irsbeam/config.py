@@ -256,6 +256,8 @@ def parse_config(text: str, scenario: str | Scenario | None = None,
         for k in k_values:
             _require(1 <= k <= n, "k_values", f"entries must be in [1, {n}], got {k}")
 
+    # The link-scale bound grows with N: the largest N decides it for all.
+    _build(_DEFAULT_PARAMS, values, merged, n_elements=max(n_values))
     return ExperimentConfig(
         scenario=scen,
         n_values=n_values,

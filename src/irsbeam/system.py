@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -94,11 +95,20 @@ class SystemParams:
                 raise ValueError(f"{name} must be finite")
         if not math.isfinite(self.ref_loss_db):
             raise ValueError("ref_loss_db must be finite")
-        # link_variances raises on coincident nodes.
-        for (link, a, b, alpha), variance in zip(_LINKS, self.link_variances()):
+        # node_distances raises on coincident nodes.
+        d_bi, d_iu, d_bu = node_distances(self)
+        variances = (
+            path_loss_gain(d_bi, self.alpha_bi, self.ref_loss_db),
+            path_loss_gain(d_iu, self.alpha_iu, self.ref_loss_db),
+            path_loss_gain(d_bu, self.alpha_bu, self.ref_loss_db),
+        )
+        for (link, a, b, alpha), variance in zip(_LINKS, variances):
             if not 0.0 < variance < math.inf:
                 raise ValueError(f"{link} link variance must be finite and > 0, got "
                                  f"{variance} (set by {a}, {b}, {alpha} and ref_loss_db)")
+        _check_product_scales(variances[0], variances[1], self.n_elements)
+        # Every draw scales by these; the fields are frozen, so compute them once.
+        object.__setattr__(self, "_link_variances", variances)
 
     @classmethod
     def default(cls, n_elements: int = 64) -> "SystemParams":
@@ -122,12 +132,41 @@ class SystemParams:
 
     def link_variances(self) -> tuple[float, float, float]:
         """Per-entry channel variances (BS-IRS, IRS-user, BS-user)."""
-        d_bi, d_iu, d_bu = node_distances(self)
-        return (
-            path_loss_gain(d_bi, self.alpha_bi, self.ref_loss_db),
-            path_loss_gain(d_iu, self.alpha_iu, self.ref_loss_db),
-            path_loss_gain(d_bu, self.alpha_bu, self.ref_loss_db),
-        )
+        return self._link_variances
+
+
+# How far one term of a design's sums may exceed its scale: |g|^2 / var_bi
+# and |f|^2 / var_iu are Exp(1) draws, and a product of them past 1e10 has
+# odds far below e^-1000.
+_TAIL_MARGIN = 1e10
+_LOG10_MAX = math.log10(sys.float_info.max)
+_LOG10_MIN = math.log10(sys.float_info.min)
+
+
+def _check_product_scales(var_bi: float, var_iu: float, n_elements: int) -> None:
+    """Reject link variances whose products break the designs' sums
+    S2 = sum |g f|^2 (per-term scale var_bi var_iu, as for the product
+    channel g* o f) and S4 = sum |f|^2 |g|^4 (scale var_bi^2 var_iu).
+
+    Each scale times N and ``_TAIL_MARGIN`` must stay below the largest
+    float, and S2's scale over the margin above the smallest normal one;
+    an S4 that underflows leaves the scale finite. Worked in log10, so no
+    product is formed."""
+    log_bi, log_iu = math.log10(var_bi), math.log10(var_iu)
+    log_margin = math.log10(_TAIL_MARGIN)
+    log_s2, log_s4 = log_bi + log_iu, 2.0 * log_bi + log_iu
+    log_top = _LOG10_MAX - math.log10(n_elements) - log_margin
+    if log_s2 > log_top:
+        problem = f"S2 = sum |g f|^2 overflow a float at N = {n_elements}"
+    elif log_s4 > log_top:
+        problem = f"S4 = sum |f|^2 |g|^4 overflow a float at N = {n_elements}"
+    elif log_s2 - log_margin < _LOG10_MIN:
+        problem = "S2 = sum |g f|^2 underflow a float"
+    else:
+        return
+    raise ValueError(f"BS-IRS and IRS-user link variances {var_bi:.3g} and {var_iu:.3g} make "
+                     f"{problem} with a {_TAIL_MARGIN:g} tail margin (set by ref_loss_db, "
+                     f"pos_bs, pos_irs, pos_user, alpha_bi and alpha_iu)")
 
 
 def node_distances(params: SystemParams) -> tuple[float, float, float]:
@@ -245,6 +284,19 @@ def _seed_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
     return _hash(pool[np.arange(n_words) % _POOL_SIZE], _STATE_CONSTANTS[:n_words + 1])
 
 
+def _words(value: int) -> list[int]:
+    """The 32-bit words, low first, that SeedSequence reads from a
+    non-negative integer: one word below 2**32 (0 included), two below
+    2**64, and so on."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
 def _uint64_words(state: np.ndarray) -> list[list[int]]:
     # Pairs of uint32 rows, low word first, as rows of Python ints.
     state = state.astype(np.uint64)
@@ -261,9 +313,7 @@ def trial_seeds(master_seed: int, trials: Iterable[int], stream: int = 0) -> lis
     master_seed, stream = operator.index(master_seed), operator.index(stream)
     if not (0 <= master_seed < 2**64 and 0 <= stream <= _MASK32):
         raise ValueError("master_seed must be in [0, 2**64) and stream in [0, 2**32)")
-    # SeedSequence reads an integer as its 32-bit words, low first: one word
-    # below 2**32, else two.
-    master = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
+    master = _words(master_seed)
     entropy = np.empty((len(master) + 2, index.size), dtype=np.uint32)
     entropy[:len(master)] = np.array(master, dtype=np.uint32)[:, None]
     entropy[-2] = index
@@ -333,5 +383,8 @@ def trial_seed(master_seed: int, trial_index: int, stream: int = 0) -> int:
     that need their own randomness. ``trial_seeds`` gives the same seeds
     for many trials at once.
     """
-    seq = np.random.SeedSequence([int(master_seed), int(trial_index), int(stream)])
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
+    # The entropy words SeedSequence would read from the three integers,
+    # given as an array so that it does not convert them one by one.
+    entropy = np.array(_words(int(master_seed)) + _words(int(trial_index)) + _words(int(stream)),
+                       dtype=np.uint32)
+    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])

@@ -24,6 +24,8 @@ from irsbeam import (
     snr,
     srr,
     SystemParams,
+    TraceRecord,
+    rate,
     trial_seed,
 )
 
@@ -349,6 +351,23 @@ class TestMaxAsnr:
         _, trace = max_asnr(ch, params)
         assert trace.records[0].lam == pytest.approx(mrr(ch, params).lam, rel=1e-12)
 
+    def test_trace_rates_are_computed_on_first_read(self, monkeypatch):
+        import irsbeam.metrics
+        params = SystemParams.default(16)
+        ch = sample_channels(params, 44)
+        bf, trace = max_asnr(ch, params)
+        evaluate, calls = irsbeam.metrics.snr, []
+        monkeypatch.setattr(irsbeam.metrics, "snr",
+                            lambda *args: calls.append(args) or evaluate(*args))
+        assert trace.converged and trace.iterations == len(trace.iterates) - 1
+        assert calls == []
+        assert trace.iterates[-1] is bf and trace.iterates[0].lam == mrr(ch, params).lam
+        records = trace.records
+        assert trace.records is records and len(calls) == len(trace.iterates)
+        assert records == tuple(
+            TraceRecord(it, it_bf.lam, rate(evaluate(it_bf, ch, params)))
+            for it, it_bf in enumerate(trace.iterates))
+
 
 
 class TestMaxAsnrBatch:
@@ -472,5 +491,6 @@ class TestBeamformerInvariants:
             Beamformer(ok * 2.0, 1.0, mask)
         with pytest.raises(ValueError):
             Beamformer(ok, 0.0, mask)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inactive entries must be exactly zero"):
             Beamformer(ok, 1.0, np.array([False, True]))
+        assert Beamformer(ok, 1.0, np.array([True, False])).lam == 1.0

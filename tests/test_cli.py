@@ -144,12 +144,25 @@ BIG = 10**400  # 401 digits: a JSON integer with no float value
     ("srr-sweep", {"n_values": [8, 64]}, "n_values"),
     ("oracle-check", {"n_values": [3]}, "n_values"),
     ("single", {"n_values": [10**30]}, "n_values"),
+    # Finite link variances whose products overflow or underflow the designs.
+    ("single", {"ref_loss_db": 3000}, "ref_loss_db"),
+    ("single", {"ref_loss_db": -3000}, "ref_loss_db"),
+    ("convergence", {"ref_loss_db": 3000}, "ref_loss_db"),
+    ("convergence", {"ref_loss_db": -3000}, "ref_loss_db"),
 ])
 def test_non_finite_value_is_a_config_error(tmp_path, capsys, scenario, doc, key):
     cfg = write_config(tmp_path, **{"trials": 2, "n_values": [4], **doc})
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("ref_loss_db", [290, -290, 1030, -1440])
+@pytest.mark.parametrize("scenario", ["single", "convergence"])
+def test_link_scales_inside_the_bound_run(tmp_path, scenario, ref_loss_db):
+    # +-290 dB, and values just inside the config-time bound on both sides.
+    cfg = write_config(tmp_path, ref_loss_db=ref_loss_db, n_values=[4, 64], trials=3)
+    assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
 
 
 @pytest.mark.parametrize("scenario", ["convergence", "oracle-check"])

@@ -141,6 +141,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{key}: "):
             parse_config(json.dumps(doc))
 
+    def test_link_scale_bound_is_taken_at_the_largest_n(self):
+        doc = {"ref_loss_db": 1030, "n_values": [4, 256]}
+        assert parse_config(json.dumps(doc)).n_values == (4, 256)
+        with pytest.raises(ConfigError, match=r"^ref_loss_db: .* overflow a float at "
+                                              r"N = 1000000 "):
+            parse_config(json.dumps({**doc, "n_values": [4, 10**6]}))
+
     def test_oracle_check_limits_n(self):
         with pytest.raises(ConfigError, match="n_values"):
             parse_config('{"n_values": [8]}', scenario="oracle-check")

@@ -202,6 +202,20 @@ class TestSrrBatch:
 
 
 class TestRateVsNRun:
+    def test_snr_is_evaluated_once_per_design(self, monkeypatch):
+        # The runner never reads max_asnr's trace records, so their
+        # per-iteration rates are never computed.
+        from irsbeam import metrics
+        evaluate, calls = metrics.snr, []
+
+        def counted(bf, ch, params):
+            calls.append(ch.n_elements)
+            return evaluate(bf, ch, params)
+
+        monkeypatch.setattr(metrics, "snr", counted)
+        run_rate_vs_n(small_config("rate-vs-n", n_values=[4, 8], trials=3))
+        assert calls == [4] * (6 * 3) + [8] * (6 * 3)
+
     def test_schema_and_method_order(self):
         cfg = small_config("rate-vs-n", n_values=[4, 8])
         result = run_rate_vs_n(cfg)

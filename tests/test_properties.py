@@ -37,6 +37,7 @@ from irsbeam import (  # noqa: E402
     trial_seeds,
 )
 from irsbeam.config import _ALLOWED_KEYS, parse_config  # noqa: E402
+from irsbeam.metrics import _norm  # noqa: E402
 
 # Derandomized, and no example database, so every run checks the same cases
 # and leaves no files behind.
@@ -70,6 +71,13 @@ def test_max_asnr_batch_equals_scalar_and_meets_budget(master_seed, n, trials, p
 _EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
 
 
+def _seed_sequence_seed(master_seed, trial_index, stream):
+    """The child seed as numpy's SeedSequence mixes it from a list of
+    Python ints: the reference both seeding paths are held to."""
+    seq = np.random.SeedSequence([int(master_seed), int(trial_index), int(stream)])
+    return int(seq.generate_state(1, dtype=np.uint64)[0])
+
+
 @PROPERTY_SETTINGS
 @given(master_seed=st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**64 - 1)),
        stream=st.integers(0, 2), count=st.integers(1, 50), data=st.data())
@@ -78,7 +86,32 @@ def test_trial_seeds_equal_trial_seed(master_seed, stream, count, data):
                                 st.integers(0, 2**32 - count)))
     trials = range(start, start + count)
     assert trial_seeds(master_seed, trials, stream) == \
-        [trial_seed(master_seed, t, stream) for t in trials]
+        [_seed_sequence_seed(master_seed, t, stream) for t in trials]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(master_seed=st.one_of(st.sampled_from([0, 1, *_EDGE_SEEDS[1:]]),
+                             st.integers(0, 2**64 - 1)),
+       trial=st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+       stream=st.integers(0, 2))
+def test_trial_seed_equals_seed_sequence_of_python_ints(master_seed, trial, stream):
+    assert trial_seed(master_seed, trial, stream) == \
+        _seed_sequence_seed(master_seed, trial, stream)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.one_of(st.sampled_from([1, 2, 255, 256]), st.integers(1, 256)),
+       exponent=st.integers(-150, 150), zeros=st.floats(0.0, 1.0), stride=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_norm_equals_numpy_norm_bit_for_bit(n, exponent, zeros, stride, seed):
+    """Magnitudes from 1e-150 to 1e150, some entries (or all) exactly zero,
+    and views that skip ``stride - 1`` of every ``stride`` entries."""
+    rng = np.random.default_rng(seed)
+    w = 10.0**exponent * (rng.standard_normal(n * stride) + 1j * rng.standard_normal(n * stride))
+    w[rng.random(n * stride) < zeros] = 0.0
+    for view in (w[::stride], w[::-stride], w.real[::stride] + 0j):
+        assert np.float64(_norm(view)).tobytes() == np.linalg.norm(view).tobytes()
+    assert _norm(np.zeros(n, dtype=complex)) == 0.0
 
 
 @PROPERTY_SETTINGS

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +117,22 @@ class TestParamsValidation:
     def test_link_variance_must_be_finite_and_positive(self, overrides, link):
         with pytest.raises(ValueError, match=f"^{link} link variance .* ref_loss_db"):
             make_params(**overrides)
+
+    @pytest.mark.parametrize("overrides, message", [
+        # S4's scale var_bi^2 var_iu overflows once N reaches 1e6.
+        ({"ref_loss_db": 1030.0, "n_elements": 10**6},
+         r"S4 = sum \|f\|\^2 \|g\|\^4 overflow a float at N = 1000000"),
+        # A weak BS-IRS link: S2's scale var_bi var_iu overflows first.
+        ({"ref_loss_db": 3000.0, "alpha_bi": 150.0, "n_elements": 10**6},
+         r"S2 = sum \|g f\|\^2 overflow a float at N = 1000000"),
+        ({"ref_loss_db": -1450.0}, r"S2 = sum \|g f\|\^2 underflow a float"),
+    ])
+    def test_link_variance_products_must_fit_the_designs(self, overrides, message):
+        params = replace(SystemParams.default(256), ref_loss_db=1030.0)
+        assert replace(params, ref_loss_db=-1440.0).link_variances()[0] > 0.0
+        with pytest.raises(ValueError, match=f"^BS-IRS and IRS-user link variances .* "
+                                             f"{message}.* tail margin .*ref_loss_db"):
+            replace(params, **overrides)
 
     def test_zero_elements_rejected(self):
         with pytest.raises(ValueError, match="n_elements"):
