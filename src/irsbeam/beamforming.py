@@ -96,29 +96,21 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class Beamformer:
-    """A designed coefficient vector p = lam * p_normalized.
-
-    ``active_mask`` marks elements that reflect; masked-off entries of
-    ``p_normalized`` are exactly zero.
-    """
+    """A designed coefficient vector p = lam * p_normalized. Elements that
+    do not reflect are exactly zero in ``p_normalized``."""
 
     p_normalized: np.ndarray
     lam: float
-    active_mask: np.ndarray
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p_normalized, dtype=np.complex128)
-        mask = np.asarray(self.active_mask, dtype=bool)
         object.__setattr__(self, "p_normalized", p)
-        object.__setattr__(self, "active_mask", mask)
-        if p.ndim != 1 or mask.shape != p.shape:
-            raise ValueError("p_normalized and active_mask must be 1-D and equal length")
+        if p.ndim != 1:
+            raise ValueError("p_normalized must be 1-D")
         if abs(_norm(p) - 1.0) > 1e-12:
             raise ValueError("p_normalized must have unit 2-norm")
         if not self.lam > 0.0:
             raise ValueError("lam must be positive")
-        if not mask.all() and (p[~mask] != 0.0).any():
-            raise ValueError("inactive entries must be exactly zero")
 
     @property
     def p(self) -> np.ndarray:
@@ -203,28 +195,13 @@ def egr(ch: ChannelRealization, params: SystemParams) -> Beamformer:
         params.p_i * n
         / (params.p_s * float((np.abs(ch.g) ** 2).sum()) + n * params.sigma_i_sq)
     )
-    return Beamformer(p_norm, lam, np.ones(n, dtype=bool))
+    return Beamformer(p_norm, lam)
 
 
 def mrr(ch: ChannelRealization, params: SystemParams) -> Beamformer:
     """Ratio-matched reflecting: p~ proportional to g* o f, rotated by
     exp(-j arg(h)) so the reflected sum adds in phase with the direct path."""
-    w = np.conj(ch.g) * ch.f
-    nrm = _norm(w)
-    if nrm == 0.0:
-        raise ValueError("product channel g* o f is identically zero")
-    p_norm = (w / nrm) * _direct_phase_factor(ch.h)
-    lam = _lambda_matched(ch.g, ch.f, params)
-    return Beamformer(p_norm, lam, np.ones(ch.n_elements, dtype=bool))
-
-
-def _lambda_matched(g: np.ndarray, f: np.ndarray, params: SystemParams) -> float:
-    # Closed-form scale for a direction proportional to g* o f on the
-    # selected elements g, f: lam = sqrt(P_I S2 / (P_S S4 + sigma_I^2 S2))
-    # with S2 = sum |g f|^2 and S4 = sum |f|^2 |g|^4.
-    s2 = float((np.abs(g * f) ** 2).sum())
-    s4 = float((np.abs(f) ** 2 * np.abs(g) ** 4).sum())
-    return math.sqrt(params.p_i * s2 / (params.p_s * s4 + params.sigma_i_sq * s2))
+    return _matched(ch, params, ch.n_elements, "product channel g* o f is identically zero")
 
 
 def srr(ch: ChannelRealization, params: SystemParams, k: int) -> Beamformer:
@@ -233,19 +210,32 @@ def srr(ch: ChannelRealization, params: SystemParams, k: int) -> Beamformer:
     n = ch.n_elements
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    magnitudes = np.abs(np.conj(ch.g) * ch.f)
-    order = np.argsort(-magnitudes, kind="stable")
-    mask = np.zeros(n, dtype=bool)
-    mask[order[:k]] = True
-    g_sel, f_sel = ch.g[mask], ch.f[mask]
-    w = np.zeros(n, dtype=np.complex128)
-    w[mask] = np.conj(g_sel) * f_sel
+    return _matched(ch, params, k, "selected product channels are identically zero")
+
+
+def _matched(ch: ChannelRealization, params: SystemParams, k: int,
+             zero_message: str) -> Beamformer:
+    # MRR on the k selected elements, gathered in ascending index order;
+    # k = N selects every element, with nothing to sort or gather. The
+    # scale is the closed form lam = sqrt(P_I S2 / (P_S S4 + sigma_I^2 S2))
+    # with S2 = sum |g f|^2 and S4 = sum |f|^2 |g|^4 over the selection.
+    n = ch.n_elements
+    g, f = ch.g, ch.f
+    w = np.conj(g) * f
+    if k < n:
+        mask = np.zeros(n, dtype=bool)
+        mask[np.argsort(-np.abs(w), kind="stable")[:k]] = True
+        g, f = g[mask], f[mask]
+        w = np.zeros(n, dtype=np.complex128)
+        w[mask] = np.conj(g) * f
     nrm = _norm(w)
     if nrm == 0.0:
-        raise ValueError("selected product channels are identically zero")
+        raise ValueError(zero_message)
     p_norm = (w / nrm) * _direct_phase_factor(ch.h)
-    lam = _lambda_matched(g_sel, f_sel, params)
-    return Beamformer(p_norm, lam, mask)
+    s2 = float((np.abs(g * f) ** 2).sum())
+    s4 = float((np.abs(f) ** 2 * np.abs(g) ** 4).sum())
+    lam = math.sqrt(params.p_i * s2 / (params.p_s * s4 + params.sigma_i_sq * s2))
+    return Beamformer(p_norm, lam)
 
 
 def _row_norms(w: np.ndarray) -> np.ndarray:
@@ -358,7 +348,7 @@ def max_asnr(ch: ChannelRealization, params: SystemParams,
     for _ in range(opts.max_iterations):
         p_norm = asnr_direction(ch, params, lam, opts.sign_mode)
         new_lam = lambda_from_normalized(p_norm, ch.g, params)
-        bf = Beamformer(p_norm, new_lam, np.ones(ch.n_elements, dtype=bool))
+        bf = Beamformer(p_norm, new_lam)
         iterates.append(bf)
         if abs(new_lam - lam) / lam <= opts.tolerance:
             converged = True
@@ -464,7 +454,7 @@ def random_phase(ch: ChannelRealization, params: SystemParams, seed: int) -> Bea
     u = rng.uniform(0.0, 2.0 * math.pi, n)
     p_norm = np.exp(1j * u) / math.sqrt(n)
     lam = lambda_from_normalized(p_norm, ch.g, params)
-    return Beamformer(p_norm, lam, np.ones(n, dtype=bool))
+    return Beamformer(p_norm, lam)
 
 
 def passive_aligned(ch: ChannelRealization, params: SystemParams) -> Beamformer:
@@ -475,4 +465,4 @@ def passive_aligned(ch: ChannelRealization, params: SystemParams) -> Beamformer:
     theta = np.angle(ch.f * np.conj(ch.g))
     phi = cmath.phase(ch.h) if ch.h != 0 else 0.0
     p_norm = np.exp(1j * (theta - phi)) / math.sqrt(n)
-    return Beamformer(p_norm, math.sqrt(n), np.ones(n, dtype=bool))
+    return Beamformer(p_norm, math.sqrt(n))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .beamforming import Beamformer, Method, SolverOptions, egr, max_asnr, \
+from .beamforming import Beamformer, Method, SignMode, SolverOptions, egr, max_asnr, \
     max_asnr_batch, mrr, passive_aligned, random_phase, srr, srr_batch
 from .config import ExperimentConfig
 from .oracle import CHECK_AMPLITUDE_STEPS, CHECK_PHASE_STEPS, grid_search_best, \
@@ -99,12 +99,12 @@ def _summary_cells(n: int) -> list[tuple[Method, int | None]]:
 
 def _channel_rate(method: Method, ch: ChannelRealization, params: SystemParams,
                   master_seed: int, trial: int, k: int | None,
-                  solver: SolverOptions | None) -> tuple[float, bool]:
-    """Rate of one design on the channel already drawn for ``trial``, and
-    whether the design converged."""
+                  solver: SolverOptions | None) -> tuple[float, Beamformer, bool]:
+    """Rate of one design on the channel already drawn for ``trial``, the
+    design, and whether it converged."""
     bf, converged = _design(method, ch, params, k, solver,
                             trial_seed(master_seed, trial, stream=1))
-    return metrics.rate(metrics.snr(bf, ch, params)), converged
+    return metrics.rate(metrics.snr(bf, ch, params)), bf, converged
 
 
 def _trial_rates(method: Method, params: SystemParams, trials: int, master_seed: int,
@@ -116,7 +116,8 @@ def _trial_rates(method: Method, params: SystemParams, trials: int, master_seed:
     def one(t: int) -> tuple[float, bool]:
         try:
             ch = sample_channels(params, trial_seed(master_seed, t))
-            return _channel_rate(method, ch, params, master_seed, t, k, solver)
+            r, _, converged = _channel_rate(method, ch, params, master_seed, t, k, solver)
+            return r, converged
         except Exception as err:
             raise RuntimeError(f"trial {t} failed for method {method.value}: {err}") from err
 
@@ -219,6 +220,7 @@ def run_rate_vs_n(cfg: ExperimentConfig,
     ``max_iterations``."""
     rows: list[tuple] = []
     trial_rows: list[tuple] = []
+    seeds = trial_seeds(cfg.master_seed, range(cfg.trials)) if verbose_trials else ()
     unconverged = 0
     for n in cfg.n_values:
         params = cfg.params_for(n)
@@ -230,8 +232,8 @@ def run_rate_vs_n(cfg: ExperimentConfig,
                          _sample_std(rates), cfg.trials))
             if verbose_trials:
                 trial_rows.extend(
-                    (n, method.value, t, trial_seed(cfg.master_seed, t), r)
-                    for t, r in enumerate(rates)
+                    (n, method.value, t, seed, r)
+                    for t, (seed, r) in enumerate(zip(seeds, rates))
                 )
     return ExperimentResult(
         RATE_VS_N_HEADER, rows,
@@ -248,7 +250,8 @@ run_single = run_rate_vs_n
 
 def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
     """Compare every method against the brute-force grid optimum at small
-    element counts, and tally the sign adjudication per seed. A note
+    element counts, and tally the sign adjudication per seed, read from the
+    design of the ``max-asnr`` row (negated under ``paper-literal``). A note
     counts the ``max_asnr`` design runs that hit ``max_iterations``."""
     rows: list[tuple] = []
     tallies: dict[str, int] = {}
@@ -260,12 +263,14 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
             ch = sample_channels(params, seed)
             best = grid_search_best(ch, params, CHECK_PHASE_STEPS, CHECK_AMPLITUDE_STEPS)
             for method, k in _summary_cells(n):
-                r, converged = _channel_rate(method, ch, params, cfg.master_seed, t, k,
-                                             cfg.solver)
+                r, bf, converged = _channel_rate(method, ch, params, cfg.master_seed, t,
+                                                 k, cfg.solver)
                 unconverged += not converged
                 rows.append((seed, n, method.value, r, best.best_rate_bits,
                              best.best_rate_bits - r))
-            verdict = sign_adjudicate(ch, params, cfg.solver).value
+                if method is Method.MAX_ASNR:
+                    aligned = bf.p if cfg.solver.sign_mode is SignMode.ALIGNED else -bf.p
+            verdict = sign_adjudicate(aligned, ch, params).value
             tallies[verdict] = tallies.get(verdict, 0) + 1
     notes = tuple(
         f"sign adjudication: {name} x {count}" for name, count in sorted(tallies.items())

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import SignMode, SolverOptions, max_asnr
 from . import metrics
 from .system import ChannelRealization, SystemParams
 
@@ -128,15 +127,12 @@ def grid_search_best(ch: ChannelRealization, params: SystemParams,
     )
 
 
-def sign_adjudicate(ch: ChannelRealization, params: SystemParams,
-                    opts: SolverOptions = SolverOptions()) -> Adjudication:
-    """Empirically compare the two global-sign conventions of the
-    iterative method on one realization; rate differences below 1e-6
-    bits count as a tie."""
-    if ch.n_elements > MAX_ORACLE_ELEMENTS:
-        raise ValueError(f"adjudication supports at most {MAX_ORACLE_ELEMENTS} elements")
-    # The scale update reads only |p~(n)|, so the paper-literal run ends at -p exactly.
-    p = max_asnr(ch, params, replace(opts, sign_mode=SignMode.ALIGNED))[0].p
+def sign_adjudicate(p: np.ndarray, ch: ChannelRealization,
+                    params: SystemParams) -> Adjudication:
+    """Compare the two global-sign conventions of the iterative method on
+    one realization, given the coefficients ``p`` of its aligned run; the
+    paper-literal run ends at -p exactly, since the scale update reads only
+    |p~(n)|. Rate differences below 1e-6 bits count as a tie."""
     diff = metrics.rate(metrics.snr(p, ch, params)) \
         - metrics.rate(metrics.snr(-p, ch, params))
     if abs(diff) < 1e-6:

@@ -332,7 +332,8 @@ def test_criterion_8_sign_adjudication():
     aligned = 0
     for t in range(100):
         ch = sample_channels(params, trial_seed(MASTER_SEED, t))
-        if sign_adjudicate(ch, params) is Adjudication.ALIGNED_BETTER:
+        p = max_asnr(ch, params)[0].p
+        if sign_adjudicate(p, ch, params) is Adjudication.ALIGNED_BETTER:
             aligned += 1
 
     ties = 0
@@ -342,7 +343,7 @@ def test_criterion_8_sign_adjudication():
         g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         ch = ChannelRealization(g=g, f=f, h=0.0)
-        ties += sign_adjudicate(ch, base) is Adjudication.TIE
+        ties += sign_adjudicate(max_asnr(ch, base)[0].p, ch, base) is Adjudication.TIE
     ok = aligned >= 95 and ties == 25
     _report(8, ok, f"strong-direct fixture: aligned better on {aligned}/100 seeds "
                    f"(need 95); h=0: tie on {ties}/25")

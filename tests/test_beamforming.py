@@ -133,7 +133,7 @@ class TestMrr:
         assert np.angle(total * ch.h) == pytest.approx(0.0, abs=1e-9)
 
     def test_rejects_zero_product_channel(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="product channel g\\* o f is identically zero"):
             mrr(channel([0.0, 1.0], [1.0, 0.0], 1.0), make_params())
 
     def test_closed_form_scale_matches_generic(self, rng):
@@ -165,7 +165,7 @@ class TestSrr:
         # |g o f| magnitudes (0.5, 0.9, 0.2) -> k=2 keeps indices {0, 1}
         ch = channel([0.5, 0.9, 0.2], [1.0, 1.0, 1.0], 1.0)
         bf = srr(ch, make_params(n_elements=3), k=2)
-        np.testing.assert_array_equal(bf.active_mask, [True, True, False])
+        np.testing.assert_array_equal(bf.p_normalized != 0, [True, True, False])
         assert bf.p_normalized[2] == 0.0
 
     def test_full_selection_degenerates_to_mrr(self, rng):
@@ -179,7 +179,7 @@ class TestSrr:
     def test_single_selection_fixture(self):
         ch = channel([1.0, 1.0j], [1.0, 0.1], 1.0)
         bf = srr(ch, make_params(p_s=1.0, p_i=1.0, sigma_i_sq=0.1), k=1)
-        np.testing.assert_array_equal(bf.active_mask, [True, False])
+        np.testing.assert_array_equal(bf.p_normalized != 0, [True, False])
         np.testing.assert_allclose(bf.p_normalized, [1.0, 0.0], atol=1e-12)
         assert bf.lam == pytest.approx(math.sqrt(1.0 / 1.1), rel=1e-12)
 
@@ -191,18 +191,26 @@ class TestSrr:
             bf = srr(ch, make_params(n_elements=n), k=k)
             mags = np.abs(np.conj(ch.g) * ch.f)
             threshold = np.sort(mags)[::-1][k - 1]
-            assert bf.active_mask.sum() == k
-            assert np.all(mags[bf.active_mask] >= threshold)
+            support = bf.p_normalized != 0
+            assert support.sum() == k
+            assert np.all(mags[support] >= threshold)
 
     def test_tie_break_prefers_lower_index(self):
         ch = channel([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 1.0)
         bf = srr(ch, make_params(n_elements=3), k=2)
-        np.testing.assert_array_equal(bf.active_mask, [True, True, False])
+        np.testing.assert_array_equal(bf.p_normalized != 0, [True, True, False])
+
+    def test_rejects_zero_selection_at_every_k(self):
+        ch = channel([0.0, 1.0], [1.0, 0.0], 1.0)
+        for k in (1, 2):
+            with pytest.raises(ValueError,
+                               match="selected product channels are identically zero"):
+                srr(ch, make_params(), k=k)
 
     def test_k_out_of_range(self):
         ch = channel(FIXTURE_G, FIXTURE_F, 1.0)
         for bad in (0, 3):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="k must be in"):
                 srr(ch, make_params(), k=bad)
 
     def test_closed_form_scale_matches_generic(self, rng):
@@ -486,11 +494,10 @@ class TestBeamformerInvariants:
 
     def test_constructor_rejects_invalid(self):
         ok = np.array([1.0, 0.0], dtype=complex)
-        mask = np.array([True, True])
-        with pytest.raises(ValueError):
-            Beamformer(ok * 2.0, 1.0, mask)
-        with pytest.raises(ValueError):
-            Beamformer(ok, 0.0, mask)
-        with pytest.raises(ValueError, match="inactive entries must be exactly zero"):
-            Beamformer(ok, 1.0, np.array([False, True]))
-        assert Beamformer(ok, 1.0, np.array([True, False])).lam == 1.0
+        with pytest.raises(ValueError, match="unit 2-norm"):
+            Beamformer(ok * 2.0, 1.0)
+        with pytest.raises(ValueError, match="lam must be positive"):
+            Beamformer(ok, 0.0)
+        with pytest.raises(ValueError, match="1-D"):
+            Beamformer(ok[None, :], 1.0)
+        assert Beamformer(ok, 1.0).lam == 1.0

@@ -6,6 +6,7 @@ import pytest
 
 from irsbeam import (
     Method,
+    SignMode,
     SolverOptions,
     SystemParams,
     dbm_to_watts,
@@ -253,6 +254,8 @@ class TestSingleAndOracleRuns:
         srr_row = [r for r in result.rows if r[1] == "srr"][0]
         assert srr_row[0] == 8
         assert len(result.trial_rows) == 6 * cfg.trials
+        assert [row[3] for row in result.trial_rows] == \
+            [trial_seed(cfg.master_seed, t) for t in range(cfg.trials)] * 6
 
     def test_oracle_check_schema_and_notes(self):
         cfg = small_config("oracle-check", n_values=[1, 2], trials=3)
@@ -262,6 +265,38 @@ class TestSingleAndOracleRuns:
         assert any("sign adjudication" in note for note in result.notes)
         for row in result.rows:
             assert row[5] == pytest.approx(row[4] - row[3], abs=1e-12)
+
+    def test_oracle_check_runs_max_asnr_once_per_draw(self, monkeypatch):
+        from irsbeam import experiments
+        calls = []
+
+        def counted(ch, params, opts):
+            calls.append(ch.n_elements)
+            return max_asnr(ch, params, opts)
+
+        monkeypatch.setattr(experiments, "max_asnr", counted)
+        run_oracle_check(small_config("oracle-check", n_values=[1, 2], trials=5))
+        assert calls == [1] * 5 + [2] * 5
+
+    @pytest.mark.parametrize("sign_mode", [mode.value for mode in SignMode])
+    def test_oracle_check_tally_equals_two_full_runs(self, sign_mode):
+        cfg = small_config("oracle-check", n_values=[1, 2], trials=20, sign_mode=sign_mode)
+        tally = {}
+        for n in cfg.n_values:
+            params = cfg.params_for(n)
+            for t in range(cfg.trials):
+                ch = sample_channels(params, trial_seed(cfg.master_seed, t))
+                aligned, literal = (
+                    max_asnr(ch, params, replace(cfg.solver, sign_mode=mode))[0]
+                    for mode in (SignMode.ALIGNED, SignMode.LITERAL))
+                diff = rate(snr(aligned, ch, params)) - rate(snr(literal, ch, params))
+                verdict = ("tie" if abs(diff) < 1e-6 else
+                           "aligned-better" if diff > 0 else "paper-literal-better")
+                tally[verdict] = tally.get(verdict, 0) + 1
+        expected = [f"sign adjudication: {name} x {count}"
+                    for name, count in sorted(tally.items())]
+        assert [note for note in run_oracle_check(cfg).notes
+                if note.startswith("sign adjudication")] == expected
 
 
 class TestCsvFormatting:

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -94,20 +97,24 @@ class TestGridSearch:
             grid_search_best(ch, params2, 16, 2)
 
 
+def aligned_design(ch, params):
+    return max_asnr(ch, params)[0].p
+
+
 class TestSignAdjudication:
     def test_no_direct_path_is_a_tie(self):
         params = make_params(n_elements=2)
         ch = ChannelRealization(g=np.array([1.0, 0.5j]), f=np.array([0.3, 1.0j]), h=0.0)
-        assert sign_adjudicate(ch, params) is Adjudication.TIE
+        assert sign_adjudicate(aligned_design(ch, params), ch, params) is Adjudication.TIE
 
     def test_strong_direct_path_prefers_aligned(self):
         # short BS-user hop with free-space decay makes the direct path
         # comparable to the reflected one
         params = replace(SystemParams.default(2), pos_user=(10.0, 0.0), alpha_bu=2.0)
-        outcomes = [
-            sign_adjudicate(sample_channels(params, trial_seed(8, t)), params)
-            for t in range(100)
-        ]
+        outcomes = []
+        for t in range(100):
+            ch = sample_channels(params, trial_seed(8, t))
+            outcomes.append(sign_adjudicate(aligned_design(ch, params), ch, params))
         aligned = sum(o is Adjudication.ALIGNED_BETTER for o in outcomes)
         assert aligned >= 95
 
@@ -115,26 +122,28 @@ class TestSignAdjudication:
         params = SystemParams.default(2)
         tally = {}
         for t in range(100):
-            o = sign_adjudicate(sample_channels(params, trial_seed(9, t)), params)
+            ch = sample_channels(params, trial_seed(9, t))
+            o = sign_adjudicate(aligned_design(ch, params), ch, params)
             tally[o] = tally.get(o, 0) + 1
         assert sum(tally.values()) == 100
         majority = max(tally, key=tally.get)
         assert majority in set(Adjudication)
 
-    def test_runs_max_asnr_once(self, monkeypatch):
-        calls = []
+    def test_negated_design_reverses_the_verdict(self):
+        params = replace(SystemParams.default(2), pos_user=(10.0, 0.0), alpha_bu=2.0)
+        ch = sample_channels(params, trial_seed(8, 0))
+        p = aligned_design(ch, params)
+        assert sign_adjudicate(p, ch, params) is Adjudication.ALIGNED_BETTER
+        assert sign_adjudicate(-p, ch, params) is Adjudication.LITERAL_BETTER
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return max_asnr(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "max_asnr", counted)
-        params = SystemParams.default(2)
-        for t in range(5):
-            sign_adjudicate(sample_channels(params, trial_seed(9, t)), params)
-        assert len(calls) == 5
-
-    def test_guards_large_n(self):
-        params = SystemParams.default(4)
-        with pytest.raises(ValueError):
-            sign_adjudicate(sample_channels(params, 1), params)
+def test_oracle_imports_nothing_from_beamforming():
+    # The verdict reads a design it is given; it runs no solver of its own.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("beamforming" in name for name in imported), imported
