@@ -186,7 +186,17 @@ _KEYS = {
     "sign_mode": (_member(SignMode), "sign_mode"),
 }
 _ALLOWED_KEYS = frozenset(_KEYS)
-_SRR_SWEEP_ONLY_KEYS = ("k_values", "p_s_dbm_values")
+# The keys each scenario does not read; setting one is a config error.
+# srr-sweep takes P_S from its own grid and runs no iterative method; the
+# other scenarios sweep neither k nor P_S.
+_SWEEP_KEYS = ("k_values", "p_s_dbm_values")
+_UNUSED_KEYS = {
+    Scenario.CONVERGENCE: _SWEEP_KEYS,
+    Scenario.SRR_SWEEP: ("p_s_dbm", "tolerance", "max_iterations", "sign_mode"),
+    Scenario.RATE_VS_N: _SWEEP_KEYS,
+    Scenario.SINGLE: _SWEEP_KEYS,
+    Scenario.ORACLE_CHECK: _SWEEP_KEYS,
+}
 
 
 def _build(base, values: dict, doc: dict, **fixed):
@@ -225,9 +235,8 @@ def parse_config(text: str, scenario: str | Scenario | None = None,
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
     scen = _KEYS["scenario"][0]("scenario", merged.get("scenario", Scenario.SINGLE))
-    if scen is not Scenario.SRR_SWEEP:
-        for key in _SRR_SWEEP_ONLY_KEYS:
-            _require(key not in merged, key, f"not used by the {scen.value} scenario")
+    for key in _UNUSED_KEYS[scen]:
+        _require(key not in merged, key, f"not used by the {scen.value} scenario")
     values = {key: reader(key, merged[key])
               for key, (reader, _) in _KEYS.items() if key in merged}
 

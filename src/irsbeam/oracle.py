@@ -29,7 +29,9 @@ __all__ = [
 
 MAX_ORACLE_ELEMENTS = 3
 # The grid oracle-check runs, and the largest N it holds: at N = 3 it
-# would be (256 * 64)^2 = 268,435,456 candidates, about 40 GB.
+# would be (256 * 64)^2 = 268,435,456 candidates, and grid_search_best
+# peaks near 160 bytes per candidate (two element columns, the stacked
+# candidates and the per-candidate vectors): about 43 GB.
 CHECK_PHASE_STEPS = 256
 CHECK_AMPLITUDE_STEPS = 64
 CHECK_MAX_ELEMENTS = 2
@@ -63,17 +65,6 @@ def _amplitude_profiles(n: int, amplitude_steps: int) -> np.ndarray:
     )
 
 
-def _phase_offsets(n: int, phase_steps: int) -> np.ndarray:
-    """Phase grids for elements 2..N (element 1 is the gauge anchor),
-    row-major in the phase indices."""
-    if n == 1:
-        return np.zeros((1, 0))
-    phi = 2.0 * math.pi * np.arange(phase_steps) / phase_steps
-    if n == 2:
-        return phi[:, None]
-    return np.stack([np.repeat(phi, phase_steps), np.tile(phi, phase_steps)], axis=1)
-
-
 def grid_search_best(ch: ChannelRealization, params: SystemParams,
                      phase_steps: int, amplitude_steps: int) -> OracleResult:
     """Best rate over the direction grid, each candidate scaled to the
@@ -85,6 +76,12 @@ def grid_search_best(ch: ChannelRealization, params: SystemParams,
     phases and the magnitude profile are searched exhaustively. Ties go
     to the lexicographically smallest (phase indices, amplitude indices)
     tuple.
+
+    Candidates sit on a (phases, profiles) grid, phase index major. Each
+    element's coefficients form one contiguous column of that grid, and
+    the per-element power terms are summed left to right, element 1
+    first; element 1's column varies with the profile only, so its terms
+    are taken on one row and broadcast.
     """
     n = ch.n_elements
     if n > MAX_ORACLE_ELEMENTS:
@@ -95,28 +92,41 @@ def grid_search_best(ch: ChannelRealization, params: SystemParams,
         raise ValueError("amplitude_steps must be >= 4")
 
     amps = _amplitude_profiles(n, amplitude_steps)
-    offsets = _phase_offsets(n, phase_steps)
-    n_amp, n_phase = amps.shape[0], offsets.shape[0]
+    n_amp = amps.shape[0]
+    n_phase = phase_steps ** (n - 1)
 
-    # Candidate matrix, phase index major then amplitude index.
-    theta = np.zeros((n_phase * n_amp, n))
-    theta[:, 0] = np.angle(np.conj(ch.g[0]) * ch.f[0])
-    if n > 1:
-        theta[:, 1:] = np.repeat(offsets, n_amp, axis=0)
-    profiles = np.tile(amps, (n_phase, 1))
+    # Phase factors per element: element 1's anchor, then for elements
+    # 2..N the grid's phases in candidate order, element 2 slowest. The
+    # anchor's angle comes from a numpy-scalar product and each power term
+    # below from an array product, as in the (candidates, N) form: numpy
+    # rounds the two kinds differently in the last bit.
+    anchor = np.exp(1j * np.full(1, np.angle(np.conj(ch.g[0]) * ch.f[0])))
+    e = np.exp(1j * (2.0 * math.pi * np.arange(phase_steps) / phase_steps))
+    factors = [anchor]
+    if n == 2:
+        factors.append(e)
+    elif n == 3:
+        factors += [np.repeat(e, phase_steps), np.tile(e, phase_steps)]
+    columns = [amps[None, :, k] * factors[k][:, None] for k in range(n)]
+
+    def power(coupling: np.ndarray | None = None) -> np.ndarray:
+        """Per candidate, sum_k |q_k coupling_k|^2 (or sum_k |q_k|^2); the
+        length-1 slice keeps each product an array product."""
+        total = sum(np.abs(col if coupling is None else col * coupling[k:k + 1]) ** 2
+                    for k, col in enumerate(columns))
+        return np.broadcast_to(total, (n_phase, n_amp)).reshape(-1)
+
+    q = np.empty((n_phase, n_amp, n), dtype=complex)
+    for k, col in enumerate(columns):
+        q[:, :, k] = col
+    q = q.reshape(-1, n)
     gauge = ch.h.conjugate() / abs(ch.h) if ch.h != 0 else 1.0
-    q = profiles * np.exp(1j * theta)
 
-    lam_sq = params.p_i / (
-        params.p_s * np.sum(np.abs(q * ch.g) ** 2, axis=1)
-        + params.sigma_i_sq * np.sum(np.abs(q) ** 2, axis=1)
-    )
+    lam_sq = params.p_i / (params.p_s * power(ch.g) + params.sigma_i_sq * power())
     lam = np.sqrt(lam_sq)
     reflected = gauge * lam * (q @ (np.conj(ch.f) * ch.g))
     num = params.p_s * np.abs(ch.h.conjugate() + reflected) ** 2
-    den = params.sigma_u_sq + params.sigma_i_sq * lam_sq * np.sum(
-        np.abs(q * ch.f) ** 2, axis=1
-    )
+    den = params.sigma_u_sq + params.sigma_i_sq * lam_sq * power(ch.f)
     rates = np.log2(1.0 + num / den)
 
     best = int(np.argmax(rates))  # first occurrence on ties

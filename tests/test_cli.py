@@ -175,6 +175,23 @@ def test_verbose_trials_is_a_config_error_without_a_trial_log(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc, flags, key", [
+    ({"p_s_dbm": 40}, [], "p_s_dbm"),
+    ({"tolerance": 0.5, "max_iterations": 1}, [], "tolerance"),
+    ({"max_iterations": 1}, [], "max_iterations"),
+    ({"sign_mode": "aligned"}, [], "sign_mode"),
+    ({}, ["--sign-mode", "paper-literal"], "sign_mode"),
+])
+def test_srr_sweep_rejects_what_it_does_not_read(tmp_path, capsys, doc, flags, key):
+    # srr-sweep takes P_S from p_s_dbm_values and runs no iterative method.
+    cfg = write_config(tmp_path, trials=2, n_values=[8], **doc)
+    out = tmp_path / "out.csv"
+    assert main(["srr-sweep", "--config", cfg, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}: not used by the srr-sweep scenario" in err
+    assert not out.exists()
+
+
 def test_subcommand_and_out_flag_override_null_document_values(tmp_path):
     cfg = write_config(tmp_path, scenario=None, output_path=None, trials=2, n_values=[4])
     out = tmp_path / "out.csv"

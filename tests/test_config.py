@@ -104,6 +104,11 @@ class TestValidation:
         ("oracle-check", "k_values", [1]),
         ("rate-vs-n", "k_values", None),
         ("single", "p_s_dbm_values", None),
+        ("srr-sweep", "p_s_dbm", 40),
+        ("srr-sweep", "tolerance", 0.5),
+        ("srr-sweep", "max_iterations", 1),
+        ("srr-sweep", "sign_mode", "paper-literal"),
+        ("srr-sweep", "p_s_dbm", None),
     ])
     def test_key_the_scenario_ignores_names_key(self, scenario, key, value):
         with pytest.raises(ConfigError, match=f"{key}: not used by the {scenario} scenario"):
@@ -111,9 +116,10 @@ class TestValidation:
 
     @pytest.mark.parametrize("key", sorted(config._ALLOWED_KEYS))
     def test_null_is_rejected_naming_key(self, key):
-        # srr-sweep reads every key, so each null meets its key's reader.
-        doc = json.dumps({"scenario": "srr-sweep", key: None})
-        with pytest.raises(ConfigError, match=f"^{key}: "):
+        # In a scenario that reads the key, so each null meets its key's reader.
+        scenario = next(s for s in Scenario if key not in config._UNUSED_KEYS[s])
+        doc = json.dumps({"scenario": scenario.value, key: None})
+        with pytest.raises(ConfigError, match=f"^{key}: expected "):
             parse_config(doc)
 
     def test_srr_sweep_runs_one_element_count(self):

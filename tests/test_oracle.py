@@ -23,6 +23,7 @@ from irsbeam import (
 )
 
 from conftest import make_params
+from grid_reference import grid_search_best_reference
 
 
 def method_rates(ch, params, k):
@@ -84,6 +85,20 @@ class TestGridSearch:
         ch = sample_channels(params, trial_seed(36, 0))
         best = grid_search_best(ch, params, 16, 8)
         assert abs(np.linalg.norm(best.best_direction) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_check_grid_equals_the_reference_bit_for_bit(self, n):
+        # oracle-check's own grid, on draws of its default master seed.
+        params = SystemParams.default(n)
+        for t in range(5):
+            ch = sample_channels(params, trial_seed(12345, t))
+            if t == 4:
+                ch = replace(ch, h=0j)
+            got = grid_search_best(ch, params, 256, 64)
+            want = grid_search_best_reference(ch, params, 256, 64)
+            assert got.best_rate_bits == want.best_rate_bits
+            assert got.best_direction.tobytes() == want.best_direction.tobytes()
+            assert got.grid_points_evaluated == want.grid_points_evaluated == (256 * 64) ** (n - 1)
 
     def test_guards(self):
         params4 = SystemParams.default(4)

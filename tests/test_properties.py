@@ -21,6 +21,7 @@ from irsbeam import (  # noqa: E402
     SystemParams,
     dbm_to_watts,
     egr,
+    grid_search_best,
     max_asnr,
     max_asnr_batch,
     mrr,
@@ -38,6 +39,8 @@ from irsbeam import (  # noqa: E402
 )
 from irsbeam.config import _ALLOWED_KEYS, parse_config  # noqa: E402
 from irsbeam.metrics import _norm  # noqa: E402
+
+from grid_reference import grid_search_best_reference  # noqa: E402
 
 # Derandomized, and no example database, so every run checks the same cases
 # and leaves no files behind.
@@ -234,6 +237,28 @@ def test_paper_literal_run_is_the_aligned_run_negated(master_seed, n, p_s_dbm, p
                 Adjudication.ALIGNED_BETTER if diff > 0 else Adjudication.LITERAL_BETTER)
     row = aligned.p if sign_mode is SignMode.ALIGNED else -literal.p
     assert sign_adjudicate(row, ch, params) is expected
+
+
+@PROPERTY_SETTINGS
+@given(master_seed=st.integers(0, 2**64 - 1), n=st.integers(1, 3),
+       phase_steps=st.integers(8, 48), amplitude_steps=st.integers(4, 20),
+       p_s_dbm=st.floats(-20.0, 40.0), p_i_dbm=st.floats(-20.0, 40.0),
+       no_direct_path=st.booleans())
+def test_grid_search_equals_the_reference_bit_for_bit(master_seed, n, phase_steps,
+                                                      amplitude_steps, p_s_dbm, p_i_dbm,
+                                                      no_direct_path):
+    """The column-wise grid returns the reference's bits. The CSVs keep 12
+    significant digits, so their digests cannot see a last-bit change."""
+    params = replace(SystemParams.default(n), p_s=dbm_to_watts(p_s_dbm),
+                     p_i=dbm_to_watts(p_i_dbm))
+    ch = sample_channels(params, trial_seed(master_seed, 0))
+    if no_direct_path:
+        ch = replace(ch, h=0j)
+    got = grid_search_best(ch, params, phase_steps, amplitude_steps)
+    want = grid_search_best_reference(ch, params, phase_steps, amplitude_steps)
+    assert got.best_rate_bits == want.best_rate_bits
+    assert got.best_direction.tobytes() == want.best_direction.tobytes()
+    assert got.grid_points_evaluated == want.grid_points_evaluated
 
 
 # Arbitrary JSON values: null, bools, strings, small and 401-digit integers,
