@@ -35,7 +35,6 @@ from .metrics import _norm, _require_rows
 
 __all__ = [
     "Method",
-    "SignMode",
     "SolverOptions",
     "Beamformer",
     "TraceRecord",
@@ -66,26 +65,12 @@ class Method(str, enum.Enum):
     PASSIVE_ALIGNED = "passive-aligned"
 
 
-class SignMode(str, enum.Enum):
-    """Global sign of the iterative method's direction.
-
-    ALIGNED adds the reflected path in phase with the direct path and is
-    the maximizer of the objective; LITERAL keeps the minus sign that the
-    stationarity equation produces verbatim (anti-aligned), retained for
-    comparison runs.
-    """
-
-    ALIGNED = "aligned"
-    LITERAL = "paper-literal"
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     """Options for the alternating scale/direction iteration."""
 
     tolerance: float = 1e-4        # relative change of lam at which to stop
     max_iterations: int = 50
-    sign_mode: SignMode = SignMode.ALIGNED
 
     def __post_init__(self) -> None:
         if not self.tolerance > 0.0:
@@ -310,13 +295,12 @@ def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int,
     return MatchedBatch(p_norm, s2, s4, trials)
 
 
-def asnr_direction(ch: ChannelRealization, params: SystemParams, lam: float,
-                   sign_mode: SignMode = SignMode.ALIGNED) -> np.ndarray:
+def asnr_direction(ch: ChannelRealization, params: SystemParams, lam: float) -> np.ndarray:
     """Optimal unit direction for a fixed scale.
 
     With the diagonal whitener D(n) = sigma_I^2 |f(n)|^2 + sigma_u^2 / lam^2,
-    the n-th entry is proportional to s * g(n)* f(n) / D(n), where the
-    global factor s is exp(-j arg(h)) (ALIGNED) or its negative (LITERAL).
+    the n-th entry is proportional to exp(-j arg(h)) g(n)* f(n) / D(n), so
+    the reflected sum adds in phase with the direct path.
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
@@ -325,10 +309,7 @@ def asnr_direction(ch: ChannelRealization, params: SystemParams, lam: float,
     nrm = _norm(w)
     if nrm == 0.0:
         raise ValueError("product channel g* o f is identically zero")
-    s = _direct_phase_factor(ch.h)
-    if sign_mode is SignMode.LITERAL:
-        s = -s
-    return (w / nrm) * s
+    return (w / nrm) * _direct_phase_factor(ch.h)
 
 
 def max_asnr(ch: ChannelRealization, params: SystemParams,
@@ -346,7 +327,7 @@ def max_asnr(ch: ChannelRealization, params: SystemParams,
     iterates = [bf]
     converged = False
     for _ in range(opts.max_iterations):
-        p_norm = asnr_direction(ch, params, lam, opts.sign_mode)
+        p_norm = asnr_direction(ch, params, lam)
         new_lam = lambda_from_normalized(p_norm, ch.g, params)
         bf = Beamformer(p_norm, new_lam)
         iterates.append(bf)
@@ -377,7 +358,7 @@ def _asnr_directions(g: np.ndarray, f: np.ndarray, amp_noise: np.ndarray,
                      phase: np.ndarray, lam: np.ndarray, params: SystemParams,
                      trials: np.ndarray) -> np.ndarray:
     # asnr_direction on every row, given amp_noise = sigma_I^2 |f|^2 and
-    # the signed direct-path factor of each row.
+    # the direct-path factor of each row.
     offset = np.array([params.sigma_u_sq / x**2 for x in lam.tolist()])
     w = np.divide(np.multiply(np.conj(g), f), amp_noise + offset[:, None])
     nrm = _row_norms(w)
@@ -413,8 +394,6 @@ def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemPa
     converged = np.zeros(t, dtype=bool)
 
     phase = np.array([_direct_phase_factor(x) for x in h.tolist()])
-    if opts.sign_mode is SignMode.LITERAL:
-        phase = -phase
     # Per active row: its index in the batch and everything a pass reads.
     rows = np.arange(t)
     amp_noise = params.sigma_i_sq * np.abs(f) ** 2

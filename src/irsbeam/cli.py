@@ -31,8 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, metavar="U64", help="master seed override")
     common.add_argument("--trials", type=int, help="Monte-Carlo trials per cell")
     common.add_argument("--out", metavar="PATH", help="output CSV path")
-    common.add_argument("--sign-mode", choices=["aligned", "paper-literal"],
-                        help="global sign convention of the iterative method")
     common.add_argument("--verbose-trials", action="store_true",
                         help="also write the per-trial rate log")
 
@@ -65,7 +63,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         "master_seed": args.seed,
         "trials": args.trials,
         "output_path": args.out,
-        "sign_mode": args.sign_mode,
     }
     return parse_config(text, scenario=args.command, overrides=overrides)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .beamforming import SignMode, SolverOptions
+from .beamforming import SolverOptions
 from .oracle import CHECK_AMPLITUDE_STEPS, CHECK_MAX_ELEMENTS, CHECK_PHASE_STEPS
 from .system import SystemParams, dbm_to_watts
 
@@ -71,7 +71,7 @@ class ExperimentConfig:
     k_values: tuple[int, ...]       # srr-sweep only; () elsewhere
     trials: int
     master_seed: int
-    params: SystemParams            # n_elements set to n_values[0]
+    params: SystemParams            # n_values[0]; srr-sweep: its first P_S
     solver: SolverOptions
     output_path: str | None
     p_s_dbm_values: tuple[float, ...]
@@ -150,20 +150,18 @@ def _path(key: str, value) -> str:
     return value
 
 
-def _member(enum_type: type[enum.Enum]):
-    def read(key: str, value):
-        try:
-            return enum_type(value)
-        except ValueError:
-            allowed = ", ".join(m.value for m in enum_type)
-            raise ConfigError(f"{key}: expected one of {allowed}, got {value!r}") from None
-    return read
+def _scenario(key: str, value) -> Scenario:
+    try:
+        return Scenario(value)
+    except ValueError:
+        allowed = ", ".join(s.value for s in Scenario)
+        raise ConfigError(f"{key}: expected one of {allowed}, got {value!r}") from None
 
 
 # Every key: its reader and, if it sets a SystemParams or SolverOptions
 # field, that field.
 _KEYS = {
-    "scenario": (_member(Scenario), None),
+    "scenario": (_scenario, None),
     "n_values": (_int_list, None),
     "k_values": (_int_list, None),
     "trials": (_int, None),
@@ -183,16 +181,19 @@ _KEYS = {
     "ref_loss_db": (_number, "ref_loss_db"),
     "tolerance": (_number, "tolerance"),
     "max_iterations": (_int, "max_iterations"),
-    "sign_mode": (_member(SignMode), "sign_mode"),
 }
 _ALLOWED_KEYS = frozenset(_KEYS)
+# The keys that set each field named apart from its key. srr-sweep takes P_S
+# from p_s_dbm_values and rejects p_s_dbm; every other scenario the reverse.
+_SETTERS = {field: (key,) for key, (_, field) in _KEYS.items() if field not in (None, key)}
+_SETTERS["p_s"] += ("p_s_dbm_values",)
 # The keys each scenario does not read; setting one is a config error.
 # srr-sweep takes P_S from its own grid and runs no iterative method; the
 # other scenarios sweep neither k nor P_S.
 _SWEEP_KEYS = ("k_values", "p_s_dbm_values")
 _UNUSED_KEYS = {
     Scenario.CONVERGENCE: _SWEEP_KEYS,
-    Scenario.SRR_SWEEP: ("p_s_dbm", "tolerance", "max_iterations", "sign_mode"),
+    Scenario.SRR_SWEEP: ("p_s_dbm", "tolerance", "max_iterations"),
     Scenario.RATE_VS_N: _SWEEP_KEYS,
     Scenario.SINGLE: _SWEEP_KEYS,
     Scenario.ORACLE_CHECK: _SWEEP_KEYS,
@@ -202,14 +203,15 @@ _UNUSED_KEYS = {
 def _build(base, values: dict, doc: dict, **fixed):
     """``base`` with ``fixed`` and the fields the document sets. A broken
     invariant becomes a ConfigError led by the first document key its
-    message names: invariants name fields, and a field that a key sets
-    directly carries the key's name."""
+    message names: invariants name fields, and each field stands for the
+    keys that set it (``_SETTERS``, or the key of the field's own name)."""
     names = {f.name for f in fields(base)}
     try:
         return replace(base, **fixed, **{field: values[key] for key, (_, field) in _KEYS.items()
                                          if field in names and key in values})
     except ValueError as err:
-        named = [word for word in re.findall(r"\w+", str(err)) if word in doc]
+        named = [key for word in re.findall(r"\w+", str(err))
+                 for key in _SETTERS.get(word, (word,)) if key in doc]
         raise ConfigError(f"{named[0]}: {err}" if named else str(err)) from err
 
 
@@ -234,7 +236,7 @@ def parse_config(text: str, scenario: str | Scenario | None = None,
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
-    scen = _KEYS["scenario"][0]("scenario", merged.get("scenario", Scenario.SINGLE))
+    scen = _scenario("scenario", merged.get("scenario", Scenario.SINGLE))
     for key in _UNUSED_KEYS[scen]:
         _require(key not in merged, key, f"not used by the {scen.value} scenario")
     values = {key: reader(key, merged[key])
@@ -265,16 +267,21 @@ def parse_config(text: str, scenario: str | Scenario | None = None,
         for k in k_values:
             _require(1 <= k <= n, "k_values", f"entries must be in [1, {n}], got {k}")
 
-    # The link-scale bound grows with N: the largest N decides it for all.
-    _build(_DEFAULT_PARAMS, values, merged, n_elements=max(n_values))
+    # The bound on link scales and powers grows with N: the largest N decides
+    # it for all, at every P_S that srr-sweep runs (its params take the first).
+    p_s_dbm_values = values.get("p_s_dbm_values", DEFAULT_P_S_DBM_GRID)
+    levels = ([{"p_s": dbm_to_watts(level)} for level in p_s_dbm_values]
+              if scen is Scenario.SRR_SWEEP else [{}])
+    for level in levels:
+        _build(_DEFAULT_PARAMS, values, merged, n_elements=max(n_values), **level)
     return ExperimentConfig(
         scenario=scen,
         n_values=n_values,
         k_values=k_values,
         trials=trials,
         master_seed=master_seed,
-        params=_build(_DEFAULT_PARAMS, values, merged, n_elements=n_values[0]),
+        params=_build(_DEFAULT_PARAMS, values, merged, n_elements=n_values[0], **levels[0]),
         solver=_build(_DEFAULT_SOLVER, values, merged),
         output_path=values.get("output_path"),
-        p_s_dbm_values=values.get("p_s_dbm_values", DEFAULT_P_S_DBM_GRID),
+        p_s_dbm_values=p_s_dbm_values,
     )

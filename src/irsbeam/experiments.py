@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .beamforming import Beamformer, Method, SignMode, SolverOptions, egr, max_asnr, \
-    max_asnr_batch, mrr, passive_aligned, random_phase, srr, srr_batch
+from .beamforming import Beamformer, Method, SolverOptions, egr, max_asnr, max_asnr_batch, \
+    mrr, passive_aligned, random_phase, srr, srr_batch
 from .config import ExperimentConfig
-from .oracle import CHECK_AMPLITUDE_STEPS, CHECK_PHASE_STEPS, grid_search_best, \
-    sign_adjudicate
+from .oracle import CHECK_AMPLITUDE_STEPS, CHECK_PHASE_STEPS, grid_search_best
 from .system import ChannelRealization, SystemParams, sample_channels, \
     sample_channels_batch, trial_seed, trial_seeds
 
@@ -99,12 +98,12 @@ def _summary_cells(n: int) -> list[tuple[Method, int | None]]:
 
 def _channel_rate(method: Method, ch: ChannelRealization, params: SystemParams,
                   master_seed: int, trial: int, k: int | None,
-                  solver: SolverOptions | None) -> tuple[float, Beamformer, bool]:
-    """Rate of one design on the channel already drawn for ``trial``, the
-    design, and whether it converged."""
+                  solver: SolverOptions | None) -> tuple[float, bool]:
+    """Rate of one design on the channel already drawn for ``trial``, and
+    whether it converged."""
     bf, converged = _design(method, ch, params, k, solver,
                             trial_seed(master_seed, trial, stream=1))
-    return metrics.rate(metrics.snr(bf, ch, params)), bf, converged
+    return metrics.rate(metrics.snr(bf, ch, params)), converged
 
 
 def _trial_rates(method: Method, params: SystemParams, trials: int, master_seed: int,
@@ -116,8 +115,7 @@ def _trial_rates(method: Method, params: SystemParams, trials: int, master_seed:
     def one(t: int) -> tuple[float, bool]:
         try:
             ch = sample_channels(params, trial_seed(master_seed, t))
-            r, _, converged = _channel_rate(method, ch, params, master_seed, t, k, solver)
-            return r, converged
+            return _channel_rate(method, ch, params, master_seed, t, k, solver)
         except Exception as err:
             raise RuntimeError(f"trial {t} failed for method {method.value}: {err}") from err
 
@@ -250,11 +248,9 @@ run_single = run_rate_vs_n
 
 def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
     """Compare every method against the brute-force grid optimum at small
-    element counts, and tally the sign adjudication per seed, read from the
-    design of the ``max-asnr`` row (negated under ``paper-literal``). A note
-    counts the ``max_asnr`` design runs that hit ``max_iterations``."""
+    element counts. A note counts the ``max_asnr`` design runs that hit
+    ``max_iterations``."""
     rows: list[tuple] = []
-    tallies: dict[str, int] = {}
     unconverged = 0
     for n in cfg.n_values:
         params = cfg.params_for(n)
@@ -263,18 +259,12 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
             ch = sample_channels(params, seed)
             best = grid_search_best(ch, params, CHECK_PHASE_STEPS, CHECK_AMPLITUDE_STEPS)
             for method, k in _summary_cells(n):
-                r, bf, converged = _channel_rate(method, ch, params, cfg.master_seed, t,
-                                                 k, cfg.solver)
+                r, converged = _channel_rate(method, ch, params, cfg.master_seed, t,
+                                             k, cfg.solver)
                 unconverged += not converged
                 rows.append((seed, n, method.value, r, best.best_rate_bits,
                              best.best_rate_bits - r))
-                if method is Method.MAX_ASNR:
-                    aligned = bf.p if cfg.solver.sign_mode is SignMode.ALIGNED else -bf.p
-            verdict = sign_adjudicate(aligned, ch, params).value
-            tallies[verdict] = tallies.get(verdict, 0) + 1
-    notes = tuple(
-        f"sign adjudication: {name} x {count}" for name, count in sorted(tallies.items())
-    ) + (_unconverged_note(unconverged, len(cfg.n_values) * cfg.trials),)
+    notes = (_unconverged_note(unconverged, len(cfg.n_values) * cfg.trials),)
     return ExperimentResult(ORACLE_CHECK_HEADER, rows, notes=notes)
 
 

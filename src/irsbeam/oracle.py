@@ -139,10 +139,9 @@ def grid_search_best(ch: ChannelRealization, params: SystemParams,
 
 def sign_adjudicate(p: np.ndarray, ch: ChannelRealization,
                     params: SystemParams) -> Adjudication:
-    """Compare the two global-sign conventions of the iterative method on
-    one realization, given the coefficients ``p`` of its aligned run; the
-    paper-literal run ends at -p exactly, since the scale update reads only
-    |p~(n)|. Rate differences below 1e-6 bits count as a tie."""
+    """Compare a design against its negation on one realization: the rate
+    of the coefficients ``p`` against that of -p. Rate differences below
+    1e-6 bits count as a tie."""
     diff = metrics.rate(metrics.snr(p, ch, params)) \
         - metrics.rate(metrics.snr(-p, ch, params))
     if abs(diff) < 1e-6:

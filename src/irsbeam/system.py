@@ -96,17 +96,13 @@ class SystemParams:
         if not math.isfinite(self.ref_loss_db):
             raise ValueError("ref_loss_db must be finite")
         # node_distances raises on coincident nodes.
-        d_bi, d_iu, d_bu = node_distances(self)
-        variances = (
-            path_loss_gain(d_bi, self.alpha_bi, self.ref_loss_db),
-            path_loss_gain(d_iu, self.alpha_iu, self.ref_loss_db),
-            path_loss_gain(d_bu, self.alpha_bu, self.ref_loss_db),
-        )
+        variances = tuple(path_loss_gain(d, getattr(self, alpha), self.ref_loss_db)
+                          for d, (_, _, _, alpha) in zip(node_distances(self), _LINKS))
         for (link, a, b, alpha), variance in zip(_LINKS, variances):
             if not 0.0 < variance < math.inf:
                 raise ValueError(f"{link} link variance must be finite and > 0, got "
                                  f"{variance} (set by {a}, {b}, {alpha} and ref_loss_db)")
-        _check_product_scales(variances[0], variances[1], self.n_elements)
+        _check_product_scales(self, *variances)
         # Every draw scales by these; the fields are frozen, so compute them once.
         object.__setattr__(self, "_link_variances", variances)
 
@@ -143,30 +139,60 @@ _LOG10_MAX = math.log10(sys.float_info.max)
 _LOG10_MIN = math.log10(sys.float_info.min)
 
 
-def _check_product_scales(var_bi: float, var_iu: float, n_elements: int) -> None:
-    """Reject link variances whose products break the designs' sums
-    S2 = sum |g f|^2 (per-term scale var_bi var_iu, as for the product
-    channel g* o f) and S4 = sum |f|^2 |g|^4 (scale var_bi^2 var_iu).
+def _check_product_scales(params: SystemParams, var_bi: float, var_iu: float,
+                          var_bu: float) -> None:
+    """Reject link variances, powers and noise floors whose products break
+    the designs or the SNR. Each product is taken at the scale of one term
+    and worked in log10, a sum at its larger term's, so none is formed:
+    the sums S2 = sum |g f|^2 and S4 = sum |f|^2 |g|^4; the closed form
+    lam^2 = P_I S2 / (P_S S4 + sigma_I^2 S2) of ``mrr`` and ``srr``, and
+    lam^2 = P_I / (P_S |g|^2 + sigma_I^2) of the others; ``max_asnr``'s
+    whitened |g f|^2 / D^2, where D = sigma_I^2 |f|^2 + sigma_u^2 / lam^2
+    takes its larger term's scale; the received signal, the noise the
+    surface forwards and their SNR.
 
     Each scale times N and ``_TAIL_MARGIN`` must stay below the largest
-    float, and S2's scale over the margin above the smallest normal one;
-    an S4 that underflows leaves the scale finite. Worked in log10, so no
-    product is formed."""
-    log_bi, log_iu = math.log10(var_bi), math.log10(var_iu)
-    log_margin = math.log10(_TAIL_MARGIN)
-    log_s2, log_s4 = log_bi + log_iu, 2.0 * log_bi + log_iu
-    log_top = _LOG10_MAX - math.log10(n_elements) - log_margin
-    if log_s2 > log_top:
-        problem = f"S2 = sum |g f|^2 overflow a float at N = {n_elements}"
-    elif log_s4 > log_top:
-        problem = f"S4 = sum |f|^2 |g|^4 overflow a float at N = {n_elements}"
-    elif log_s2 - log_margin < _LOG10_MIN:
-        problem = "S2 = sum |g f|^2 underflow a float"
-    else:
-        return
-    raise ValueError(f"BS-IRS and IRS-user link variances {var_bi:.3g} and {var_iu:.3g} make "
-                     f"{problem} with a {_TAIL_MARGIN:g} tail margin (set by ref_loss_db, "
-                     f"pos_bs, pos_irs, pos_user, alpha_bi and alpha_iu)")
+    float, and S2, lam^2 and the whitened product over the margin above
+    the smallest normal one. The closed form's two sums need no margin:
+    1e10 below that they are still nonzero. S4 is summed before P_S scales
+    it, so an S4 below the smallest normal float adds nothing."""
+    log_bi, log_iu, log_bu = math.log10(var_bi), math.log10(var_iu), math.log10(var_bu)
+    p_s, p_i, sigma_i_sq, sigma_u_sq = (
+        math.log10(getattr(params, name)) for name in ("p_s", "p_i", "sigma_i_sq", "sigma_u_sq"))
+    s2, s4 = log_bi + log_iu, 2.0 * log_bi + log_iu
+    lam_sq = p_i - max(p_s + log_bi, sigma_i_sq)
+    received = max(log_bu, lam_sq + s2)     # |h* + f^H G p|^2
+    forwarded = sigma_i_sq + lam_sq + log_iu
+    low = _LOG10_MIN + math.log10(_TAIL_MARGIN)
+    lam, every = "p_i p_s sigma_i_sq", "p_i p_s sigma_i_sq sigma_u_sq"
+    # (quantity, log10 scale, floor or None, the power fields it reads)
+    scales = (
+        ("S2 = sum |g f|^2", s2, low, ""),
+        ("S4 = sum |f|^2 |g|^4", s4, None, ""),
+        ("P_I S2", p_i + s2, _LOG10_MIN, "p_i"),
+        ("P_S S4 + sigma_I^2 S2", max(p_s + s4 if s4 >= _LOG10_MIN else -math.inf,
+                                      sigma_i_sq + s2), _LOG10_MIN, "p_s sigma_i_sq"),
+        ("P_S |g|^2", p_s + log_bi, None, "p_s"),
+        ("lam^2", lam_sq, low, lam),
+        ("|g f|^2 / D^2", s2 - 2.0 * max(sigma_i_sq + log_iu, sigma_u_sq - lam_sq), low, every),
+        ("|h* + f^H G p|^2", received, None, lam),
+        ("P_S |h* + f^H G p|^2", p_s + received, None, lam),
+        ("sigma_I^2 |F p|^2", forwarded, None, lam),
+        ("the SNR", p_s + received - max(forwarded, sigma_u_sq), None, every),
+    )
+    log_top = _LOG10_MAX - math.log10(params.n_elements * _TAIL_MARGIN)
+    for quantity, scale, floor, powers in scales:
+        if scale > log_top:
+            problem = f"{quantity} overflow a float at N = {params.n_elements}"
+        elif floor is not None and scale < floor:
+            problem = f"{quantity} underflow a float"
+        else:
+            continue
+        levels = "".join(f", {name} = {getattr(params, name):.3g} W" for name in powers.split())
+        raise ValueError(f"BS-IRS and IRS-user link variances {var_bi:.3g} and {var_iu:.3g} "
+                         f"(BS-user {var_bu:.3g}){levels} make {problem} with a "
+                         f"{_TAIL_MARGIN:g} tail margin (set by ref_loss_db, pos_bs, pos_irs, "
+                         f"pos_user, alpha_bi, alpha_iu and alpha_bu)")
 
 
 def node_distances(params: SystemParams) -> tuple[float, float, float]:

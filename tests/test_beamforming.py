@@ -7,7 +7,6 @@ import pytest
 from irsbeam import (
     Beamformer,
     ChannelRealization,
-    SignMode,
     SolverOptions,
     asnr_direction,
     dbm_to_watts,
@@ -266,8 +265,7 @@ class TestAsnrDirection:
         np.testing.assert_allclose(np.abs(rotated), np.abs(base), atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
-    @pytest.mark.parametrize("mode", [SignMode.ALIGNED, SignMode.LITERAL])
-    def test_matches_matrix_pseudo_inverse_route(self, rng, n, mode):
+    def test_matches_matrix_pseudo_inverse_route(self, rng, n):
         # rank-1 outer product inverted via numpy's pinv, assembled densely
         params = make_params(n_elements=n, sigma_i_sq=0.3, sigma_u_sq=0.05)
         ch = random_channel(rng, n)
@@ -276,14 +274,12 @@ class TestAsnrDirection:
         d_inv_half = np.diag(1.0 / np.sqrt(d))
         u = d_inv_half.conj().T @ np.diag(ch.g).conj().T @ ch.f
         c = np.outer(u, u.conj())
+        # The stationarity equation's minus sign, flipped so that the
+        # reflected sum adds in phase with the direct path.
         p_prime = -np.conj(ch.h) * (np.linalg.pinv(c) @ u)
-        dense = d_inv_half @ p_prime
+        dense = -(d_inv_half @ p_prime)
         dense = dense / np.linalg.norm(dense)
-        if mode is SignMode.ALIGNED:
-            dense = -dense
-        np.testing.assert_allclose(
-            asnr_direction(ch, params, lam, mode), dense, atol=1e-10
-        )
+        np.testing.assert_allclose(asnr_direction(ch, params, lam), dense, atol=1e-10)
 
     def test_rejects_bad_inputs(self):
         params = make_params()
@@ -315,7 +311,7 @@ class TestMaxAsnr:
         opts = SolverOptions(tolerance=1e-10, max_iterations=100)
         bf, trace = max_asnr(ch, params, opts)
         assert trace.converged
-        next_dir = asnr_direction(ch, params, bf.lam, opts.sign_mode)
+        next_dir = asnr_direction(ch, params, bf.lam)
         next_lam = lambda_from_normalized(next_dir, ch.g, params)
         assert abs(next_lam - bf.lam) / bf.lam <= opts.tolerance
 
@@ -383,13 +379,12 @@ class TestMaxAsnrBatch:
     # 256 KiB from which numpy reuses temporaries in place.
     @pytest.mark.parametrize("n, trials", [(1, 40), (2, 40), (3, 40), (16, 40),
                                            (64, 300), (256, 80)])
-    @pytest.mark.parametrize("sign_mode", list(SignMode))
     @pytest.mark.parametrize("stop", [{}, {"tolerance": 1e-16, "max_iterations": 2}])
-    def test_batch_equals_scalar_path_bit_for_bit(self, n, trials, sign_mode, stop):
+    def test_batch_equals_scalar_path_bit_for_bit(self, n, trials, stop):
         params = SystemParams.default(n)
         g, f, h = sample_channels_batch(params, [trial_seed(12345, t) for t in range(trials)])
         h[::4] = 0.0                    # absent direct path on every fourth row
-        opts = SolverOptions(sign_mode=sign_mode, **stop)
+        opts = SolverOptions(**stop)
         batch = max_asnr_batch(g, f, h, params, opts)
         for t in range(trials):
             ch = ChannelRealization(g=g[t], f=f[t], h=complex(h[t]))
@@ -406,12 +401,10 @@ class TestMaxAsnrBatch:
         # one, so a batch that has shrunk to one row must not use it.
         params = replace(SystemParams.default(1), p_s=dbm_to_watts(0.0), p_i=dbm_to_watts(1.0))
         g, f, h = sample_channels_batch(params, [trial_seed(0, 0)])
-        for sign_mode in SignMode:
-            opts = SolverOptions(sign_mode=sign_mode)
-            batch = max_asnr_batch(g, f, h, params, opts)
-            bf, trace = max_asnr(ChannelRealization(g=g[0], f=f[0], h=complex(h[0])), params, opts)
-            assert batch.records[0] == tuple((r.lam, r.rate_bits) for r in trace.records)
-            assert np.array_equal(batch.p_normalized[0], bf.p_normalized)
+        batch = max_asnr_batch(g, f, h, params)
+        bf, trace = max_asnr(ChannelRealization(g=g[0], f=f[0], h=complex(h[0])), params)
+        assert batch.records[0] == tuple((r.lam, r.rate_bits) for r in trace.records)
+        assert np.array_equal(batch.p_normalized[0], bf.p_normalized)
 
     def test_checks_name_the_failing_trial(self):
         params = SystemParams.default(4)

@@ -4,6 +4,8 @@ import pytest
 
 from irsbeam.cli import main
 
+SCENARIOS = ["convergence", "srr-sweep", "rate-vs-n", "single", "oracle-check"]
+
 
 def write_config(tmp_path, **doc):
     path = tmp_path / "config.json"
@@ -73,7 +75,8 @@ def test_oracle_check_smoke(tmp_path, capsys):
     assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == \
         "seed,n,method,rate_bits,best_rate_bits,gap_bits"
-    assert "sign adjudication" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote 24 rows to {out}", "max-asnr: 0 of 4 runs did not converge"]
 
 
 def test_seed_and_trials_flags_override(tmp_path):
@@ -157,6 +160,30 @@ def test_non_finite_value_is_a_config_error(tmp_path, capsys, scenario, doc, key
     assert not (tmp_path / "out.csv").exists()
 
 
+# Power levels and noise floors that pass each key's own check but whose
+# products with the link scales break the designs: each used to exit 3 at
+# trial 0 (underflowed or overflowed products, a zero or NaN scale).
+@pytest.mark.parametrize("scenario, doc, key", [
+    *((scenario, doc, key) for scenario in ("single", "convergence", "oracle-check")
+      for doc, key in (({"p_s_dbm": 3000}, "p_s_dbm"), ({"p_i_dbm": -3000}, "p_i_dbm"),
+                       ({"sigma_i_sq_dbm": 3000}, "sigma_i_sq_dbm"),
+                       ({"sigma_u_sq_dbm": 3000}, "sigma_u_sq_dbm"))),
+    ("single", {"sigma_i_sq_dbm": -3000, "sigma_u_sq_dbm": -3000}, "sigma_i_sq_dbm"),
+    ("convergence", {"sigma_i_sq_dbm": -3000, "sigma_u_sq_dbm": -3000}, "sigma_i_sq_dbm"),
+    ("single", {"p_s_dbm": 3000, "ref_loss_db": 1000}, "p_s_dbm"),
+    ("convergence", {"p_s_dbm": 3000, "ref_loss_db": 1000}, "p_s_dbm"),
+    ("srr-sweep", {"ref_loss_db": 500, "p_s_dbm_values": [3000]}, "p_s_dbm_values"),
+])
+def test_power_products_that_break_the_designs_are_config_errors(tmp_path, capsys, scenario,
+                                                                 doc, key):
+    n = 2 if scenario == "oracle-check" else 4      # oracle-check's grid holds N <= 2
+    cfg = write_config(tmp_path, **{"trials": 3, "n_values": [n], **doc})
+    out = tmp_path / "out.csv"
+    assert main([scenario, "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ref_loss_db", [290, -290, 1030, -1440])
 @pytest.mark.parametrize("scenario", ["single", "convergence"])
 def test_link_scales_inside_the_bound_run(tmp_path, scenario, ref_loss_db):
@@ -179,8 +206,6 @@ def test_verbose_trials_is_a_config_error_without_a_trial_log(tmp_path, capsys, 
     ({"p_s_dbm": 40}, [], "p_s_dbm"),
     ({"tolerance": 0.5, "max_iterations": 1}, [], "tolerance"),
     ({"max_iterations": 1}, [], "max_iterations"),
-    ({"sign_mode": "aligned"}, [], "sign_mode"),
-    ({}, ["--sign-mode", "paper-literal"], "sign_mode"),
 ])
 def test_srr_sweep_rejects_what_it_does_not_read(tmp_path, capsys, doc, flags, key):
     # srr-sweep takes P_S from p_s_dbm_values and runs no iterative method.
@@ -210,15 +235,20 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_sign_mode_flag(tmp_path):
-    cfg = write_config(tmp_path, trials=3, n_values=[4])
-    out_a = tmp_path / "aligned.csv"
-    out_l = tmp_path / "literal.csv"
-    assert main(["single", "--config", cfg, "--out", str(out_a),
-                 "--sign-mode", "aligned"]) == 0
-    assert main(["single", "--config", cfg, "--out", str(out_l),
-                 "--sign-mode", "paper-literal"]) == 0
-    rate_a = out_a.read_text().splitlines()[1]
-    rate_l = out_l.read_text().splitlines()[1]
-    assert rate_a.split(",")[1] == rate_l.split(",")[1] == "max-asnr"
-    assert rate_a != rate_l
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_sign_mode_is_an_unknown_key(tmp_path, capsys, scenario):
+    # Max-ASNR has one sign convention: its direction adds in phase with h*.
+    cfg = write_config(tmp_path, trials=2, n_values=[2], sign_mode="paper-literal")
+    out = tmp_path / "out.csv"
+    assert main([scenario, "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: unknown config key(s): sign_mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sign_mode_flag_is_gone(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_:
+        main(["single", "--trials", "2", "--out", str(out), "--sign-mode", "aligned"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --sign-mode aligned" in capsys.readouterr().err
+    assert not out.exists()

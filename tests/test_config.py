@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from irsbeam import (ConfigError, Scenario, SignMode, SolverOptions, SystemParams,
+from irsbeam import (ConfigError, Scenario, SolverOptions, SystemParams,
                      dbm_to_watts, parse_config)
 from irsbeam import config
 
@@ -25,7 +25,6 @@ class TestDefaults:
         assert cfg.params.ref_loss_db == -30.0
         assert cfg.solver.tolerance == 1e-4
         assert cfg.solver.max_iterations == 50
-        assert cfg.solver.sign_mode is SignMode.ALIGNED
         assert cfg.params == SystemParams.default(64)
         assert cfg.solver == SolverOptions()
 
@@ -83,10 +82,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="scenario"):
             parse_config('{"scenario": "warp-speed"}')
 
-    def test_invalid_sign_mode(self):
-        with pytest.raises(ConfigError, match="sign_mode"):
-            parse_config('{"sign_mode": "upside-down"}')
-
     def test_params_invariants_surface_as_config_errors(self):
         with pytest.raises(ConfigError, match="alpha_bi"):
             parse_config('{"alpha_bi": 1.0}')
@@ -107,7 +102,6 @@ class TestValidation:
         ("srr-sweep", "p_s_dbm", 40),
         ("srr-sweep", "tolerance", 0.5),
         ("srr-sweep", "max_iterations", 1),
-        ("srr-sweep", "sign_mode", "paper-literal"),
         ("srr-sweep", "p_s_dbm", None),
     ])
     def test_key_the_scenario_ignores_names_key(self, scenario, key, value):
@@ -154,6 +148,14 @@ class TestValidation:
                                               r"N = 1000000 "):
             parse_config(json.dumps({**doc, "n_values": [4, 10**6]}))
 
+    def test_power_bound_names_the_key_that_sets_the_power(self):
+        # srr-sweep takes P_S from its grid, so every level meets the bound.
+        with pytest.raises(ConfigError, match=r"^p_s_dbm_values: .*, p_s = 1e\+297 W"):
+            parse_config('{"ref_loss_db": 500, "p_s_dbm_values": [15, 3000]}',
+                         scenario="srr-sweep")
+        cfg = parse_config('{"p_s_dbm_values": [0, 30]}', scenario="srr-sweep")
+        assert cfg.params.p_s == dbm_to_watts(0.0)
+
     def test_oracle_check_limits_n(self):
         with pytest.raises(ConfigError, match="n_values"):
             parse_config('{"n_values": [8]}', scenario="oracle-check")
@@ -180,10 +182,6 @@ class TestOverrides:
     def test_scenario_argument_beats_document(self):
         cfg = parse_config('{"scenario": "single"}', scenario="convergence")
         assert cfg.scenario is Scenario.CONVERGENCE
-
-    def test_sign_mode_values(self):
-        assert parse_config('{"sign_mode": "paper-literal"}').solver.sign_mode is SignMode.LITERAL
-        assert parse_config('{"sign_mode": "aligned"}').solver.sign_mode is SignMode.ALIGNED
 
 
 class TestParamsFor:

@@ -6,7 +6,6 @@ import pytest
 
 from irsbeam import (
     Method,
-    SignMode,
     SolverOptions,
     SystemParams,
     dbm_to_watts,
@@ -262,7 +261,7 @@ class TestSingleAndOracleRuns:
         result = run_oracle_check(cfg)
         assert result.header == ORACLE_CHECK_HEADER
         assert len(result.rows) == 2 * 3 * 6
-        assert any("sign adjudication" in note for note in result.notes)
+        assert result.notes == ("max-asnr: 0 of 6 runs did not converge",)
         for row in result.rows:
             assert row[5] == pytest.approx(row[4] - row[3], abs=1e-12)
 
@@ -277,26 +276,6 @@ class TestSingleAndOracleRuns:
         monkeypatch.setattr(experiments, "max_asnr", counted)
         run_oracle_check(small_config("oracle-check", n_values=[1, 2], trials=5))
         assert calls == [1] * 5 + [2] * 5
-
-    @pytest.mark.parametrize("sign_mode", [mode.value for mode in SignMode])
-    def test_oracle_check_tally_equals_two_full_runs(self, sign_mode):
-        cfg = small_config("oracle-check", n_values=[1, 2], trials=20, sign_mode=sign_mode)
-        tally = {}
-        for n in cfg.n_values:
-            params = cfg.params_for(n)
-            for t in range(cfg.trials):
-                ch = sample_channels(params, trial_seed(cfg.master_seed, t))
-                aligned, literal = (
-                    max_asnr(ch, params, replace(cfg.solver, sign_mode=mode))[0]
-                    for mode in (SignMode.ALIGNED, SignMode.LITERAL))
-                diff = rate(snr(aligned, ch, params)) - rate(snr(literal, ch, params))
-                verdict = ("tie" if abs(diff) < 1e-6 else
-                           "aligned-better" if diff > 0 else "paper-literal-better")
-                tally[verdict] = tally.get(verdict, 0) + 1
-        expected = [f"sign adjudication: {name} x {count}"
-                    for name, count in sorted(tally.items())]
-        assert [note for note in run_oracle_check(cfg).notes
-                if note.startswith("sign adjudication")] == expected
 
 
 class TestCsvFormatting:

@@ -16,8 +16,6 @@ from irsbeam import (  # noqa: E402
     ConfigError,
     ExperimentConfig,
     Scenario,
-    SignMode,
-    SolverOptions,
     SystemParams,
     dbm_to_watts,
     egr,
@@ -27,12 +25,14 @@ from irsbeam import (  # noqa: E402
     mrr,
     passive_aligned,
     random_phase,
-    rate,
     reflected_power,
+    run_convergence,
+    run_oracle_check,
+    run_rate_vs_n,
+    run_srr_sweep,
     sample_channels,
     sample_channels_batch,
     sign_adjudicate,
-    snr,
     srr,
     trial_seed,
     trial_seeds,
@@ -50,18 +50,17 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, d
 @PROPERTY_SETTINGS
 @given(master_seed=st.integers(0, 2**64 - 1), n=st.integers(1, 64),
        trials=st.integers(1, 5), p_s_dbm=st.floats(-20.0, 40.0),
-       p_i_dbm=st.floats(-20.0, 40.0), sign_mode=st.sampled_from(list(SignMode)))
+       p_i_dbm=st.floats(-20.0, 40.0))
 def test_max_asnr_batch_equals_scalar_and_meets_budget(master_seed, n, trials, p_s_dbm,
-                                                      p_i_dbm, sign_mode):
+                                                      p_i_dbm):
     params = replace(SystemParams.default(n), p_s=dbm_to_watts(p_s_dbm),
                      p_i=dbm_to_watts(p_i_dbm))
-    opts = SolverOptions(sign_mode=sign_mode)
     g, f, h = sample_channels_batch(
         params, [trial_seed(master_seed, t) for t in range(trials)])
-    batch = max_asnr_batch(g, f, h, params, opts)
+    batch = max_asnr_batch(g, f, h, params)
     for t in range(trials):
         ch = ChannelRealization(g=g[t], f=f[t], h=complex(h[t]))
-        bf, trace = max_asnr(ch, params, opts)
+        bf, trace = max_asnr(ch, params)
         assert batch.records[t] == tuple((r.lam, r.rate_bits) for r in trace.records)
         assert batch.converged[t] == trace.converged
         assert np.array_equal(batch.p_normalized[t], bf.p_normalized)
@@ -147,8 +146,7 @@ def test_every_budget_constrained_design_spends_the_whole_budget(master_seed, n,
         "mrr": mrr(ch, params),
         f"srr k={k}": srr(ch, params, k),
         "random_phase": random_phase(ch, params, trial_seed(master_seed, 0, stream=1)),
-        **{f"max_asnr {mode.value}": max_asnr(ch, params, SolverOptions(sign_mode=mode))[0]
-           for mode in SignMode},
+        "max_asnr": max_asnr(ch, params)[0],
     }
     for name, bf in designs.items():
         assert abs(reflected_power(bf, ch, params) / params.p_i - 1.0) <= 1e-12, name
@@ -206,40 +204,6 @@ def test_aligned_designs_add_in_phase_with_the_direct_path(master_seed, n, p_s_d
 
 
 @PROPERTY_SETTINGS
-@given(master_seed=st.integers(0, 2**64 - 1),
-       n=st.one_of(st.integers(1, 3), st.integers(4, 64)),
-       p_s_dbm=st.floats(-20.0, 40.0), p_i_dbm=st.floats(-20.0, 40.0),
-       no_direct_path=st.booleans(), sign_mode=st.sampled_from(list(SignMode)),
-       stop=st.sampled_from([{}, {"tolerance": 1e-16, "max_iterations": 3}]))
-def test_paper_literal_run_is_the_aligned_run_negated(master_seed, n, p_s_dbm, p_i_dbm,
-                                                      no_direct_path, sign_mode, stop):
-    """The scale update reads only |p~(n)|, so flipping the direction's sign
-    leaves every scale, and so the whole run, unchanged but for the sign;
-    ``sign_adjudicate`` relies on this to decide from one run."""
-    params = replace(SystemParams.default(n), p_s=dbm_to_watts(p_s_dbm),
-                     p_i=dbm_to_watts(p_i_dbm))
-    ch = sample_channels(params, trial_seed(master_seed, 0))
-    if no_direct_path:
-        ch = replace(ch, h=0j)
-    aligned, aligned_trace = max_asnr(ch, params,
-                                      SolverOptions(sign_mode=SignMode.ALIGNED, **stop))
-    literal, literal_trace = max_asnr(ch, params,
-                                      SolverOptions(sign_mode=SignMode.LITERAL, **stop))
-    assert np.array_equal(literal.p_normalized, -aligned.p_normalized)
-    assert literal.lam == aligned.lam
-    assert [r.lam for r in literal_trace.records] == [r.lam for r in aligned_trace.records]
-    assert literal_trace.iterations == aligned_trace.iterations
-    assert literal_trace.converged == aligned_trace.converged
-    # The verdict from two full runs, one per sign, equals the verdict that
-    # oracle-check reads from its one run in ``sign_mode``, negated under LITERAL.
-    diff = rate(snr(aligned, ch, params)) - rate(snr(literal, ch, params))
-    expected = (Adjudication.TIE if abs(diff) < 1e-6 else
-                Adjudication.ALIGNED_BETTER if diff > 0 else Adjudication.LITERAL_BETTER)
-    row = aligned.p if sign_mode is SignMode.ALIGNED else -literal.p
-    assert sign_adjudicate(row, ch, params) is expected
-
-
-@PROPERTY_SETTINGS
 @given(master_seed=st.integers(0, 2**64 - 1), n=st.integers(1, 3),
        phase_steps=st.integers(8, 48), amplitude_steps=st.integers(4, 20),
        p_s_dbm=st.floats(-20.0, 40.0), p_i_dbm=st.floats(-20.0, 40.0),
@@ -261,6 +225,32 @@ def test_grid_search_equals_the_reference_bit_for_bit(master_seed, n, phase_step
     assert got.grid_points_evaluated == want.grid_points_evaluated
 
 
+_RUNNERS = {"single": run_rate_vs_n, "convergence": run_convergence,
+            "oracle-check": run_oracle_check, "srr-sweep": run_srr_sweep}
+_LEVELS = st.one_of(st.floats(-3100.0, 3300.0), st.floats(-400.0, 400.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(levels=st.fixed_dictionaries({}, optional={
+           key: _LEVELS for key in ("p_s_dbm", "p_i_dbm", "sigma_i_sq_dbm", "sigma_u_sq_dbm")}),
+       ref_loss_db=st.floats(-1450.0, 1040.0), n=st.sampled_from([1, 2, 4, 64]),
+       scenario=st.sampled_from(sorted(_RUNNERS)))
+def test_accepted_power_levels_run_to_finite_outputs(levels, ref_loss_db, n, scenario):
+    """A config whose power levels and noise floors pass parse_config runs
+    every design on its draws without an error, a warning or a non-finite
+    value in its rows, however far the levels sit from the reference."""
+    doc = {**levels, "ref_loss_db": ref_loss_db, "trials": 2,
+           "n_values": [min(n, 2) if scenario == "oracle-check" else n]}
+    if scenario == "srr-sweep":
+        doc["p_s_dbm_values"] = [doc.pop("p_s_dbm", 15.0)]
+    try:
+        cfg = parse_config(json.dumps(doc), scenario=scenario)
+    except ConfigError:
+        return
+    rows = _RUNNERS[scenario](cfg).rows
+    assert np.isfinite([v for row in rows for v in row if isinstance(v, float)]).all()
+
+
 # Arbitrary JSON values: null, bools, strings, small and 401-digit integers,
 # and floats with NaN, +-inf and +-1e308, which json.dumps writes as the
 # NaN / Infinity literals that json.loads reads back.
@@ -275,7 +265,6 @@ _POINTS = st.lists(_NUMBERS, min_size=2, max_size=2)
 _COUNTS = st.lists(st.integers(-1, 70), min_size=1, max_size=3)
 _TYPED = {
     "scenario": st.sampled_from([s.value for s in Scenario]),
-    "sign_mode": st.sampled_from([m.value for m in SignMode]),
     "output_path": st.just("out.csv"),
     "n_values": _COUNTS, "k_values": _COUNTS,
     "p_s_dbm_values": st.lists(_NUMBERS, min_size=1, max_size=3),

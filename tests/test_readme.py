@@ -1,7 +1,9 @@
 import re
 from pathlib import Path
 
-from irsbeam import config
+import pytest
+
+from irsbeam import cli, config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +22,15 @@ def test_config_table_names_every_key():
     first_column = [row.split("|")[1] for row in table.splitlines()[2:]]
     names = {name for cell in first_column for name in re.findall(r"`(\w+)`", cell)}
     assert names == config._ALLOWED_KEYS
+
+
+def test_common_flags_paragraph_names_every_flag(capsys):
+    # Every subcommand takes the same common flags.
+    text = README.read_text()
+    paragraph = text[text.index("Common flags:"):]
+    paragraph = paragraph[:paragraph.index("\n\n")]
+    named = set(re.findall(r"`(--[\w-]+)", paragraph))
+    with pytest.raises(SystemExit):
+        cli.main(["single", "--help"])
+    flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+    assert named == flags

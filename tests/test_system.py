@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -133,6 +134,39 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=f"^BS-IRS and IRS-user link variances .* "
                                              f"{message}.* tail margin .*ref_loss_db"):
             replace(params, **overrides)
+
+    # One parameter set per product of the powers with the link scales, each
+    # breaking that product alone. Without the check, each fails at trial 0:
+    # an infinite or zero scale, an overflowed |h* + f^H G p|^2, a NaN or
+    # infinite rate, or (forwarded noise) an overflow warning and a rate of 0.
+    @pytest.mark.parametrize("n, dbm, overrides, problem", [
+        (2, {"p_s": 898, "p_i": 2171, "sigma_u_sq": -251}, {"ref_loss_db": 554.0},
+         "P_I S2 overflow"),
+        (4, {"p_s": -49, "sigma_i_sq": -1311}, {"ref_loss_db": -1443.0},
+         "P_S S4 + sigma_I^2 S2 underflow"),
+        # S4 underflows before P_S scales it, so P_S S4 adds nothing.
+        (1, {"p_s": 1433, "sigma_i_sq": -2862, "sigma_u_sq": -6}, {"ref_loss_db": -1342.0},
+         "P_S S4 + sigma_I^2 S2 underflow"),
+        (4, {"p_s": 2616, "p_i": 2623, "sigma_i_sq": -2282},
+         {"ref_loss_db": -100.0, "pos_irs": (1e-28, 0.0), "pos_user": (1e22, 0.0),
+          "alpha_iu": 10.1, "alpha_bu": 3.2}, "P_S |g|^2 overflow"),
+        (4, {"p_i": 3027}, {}, "lam^2 overflow"),
+        (4, {"p_s": 3000}, {}, "|g f|^2 / D^2 underflow"),
+        (2, {"p_s": -2607, "p_i": 543, "sigma_i_sq": -1268, "sigma_u_sq": 1474},
+         {"ref_loss_db": 880.0}, "|h* + f^H G p|^2 overflow"),
+        (2, {"p_s": 1123, "p_i": 1411, "sigma_i_sq": 650},
+         {"ref_loss_db": -73.0, "pos_irs": (1e-27, 0.0), "pos_user": (1.01e-25, 0.0),
+          "alpha_bi": 2.2, "alpha_bu": 9.0}, "P_S |h* + f^H G p|^2 overflow"),
+        (1, {"p_i": 2930, "sigma_i_sq": 30},
+         {"pos_irs": (100.0, 0.0), "pos_user": (100.0 + 1e-10, 0.0), "alpha_bi": 10.0},
+         "sigma_I^2 |F p|^2 overflow"),
+        (2, {"p_s": 2250, "p_i": 948, "sigma_u_sq": -2109}, {}, "the SNR overflow"),
+    ])
+    def test_power_products_must_fit_the_designs(self, n, dbm, overrides, problem):
+        watts = {field: dbm_to_watts(level) for field, level in dbm.items()}
+        with pytest.raises(ValueError, match=r"^BS-IRS and IRS-user link variances .* make "
+                                             + re.escape(problem) + " a float"):
+            replace(SystemParams.default(n), **watts, **overrides)
 
     def test_zero_elements_rejected(self):
         with pytest.raises(ValueError, match="n_elements"):
