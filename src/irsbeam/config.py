@@ -183,6 +183,7 @@ _KEYS = {
     "max_iterations": (_int, "max_iterations"),
 }
 _ALLOWED_KEYS = frozenset(_KEYS)
+_POWERS = frozenset(field for reader, field in _KEYS.values() if reader is _watts)
 # The keys that set each field named apart from its key. srr-sweep takes P_S
 # from p_s_dbm_values and rejects p_s_dbm; every other scenario the reverse.
 _SETTERS = {field: (key,) for key, (_, field) in _KEYS.items() if field not in (None, key)}
@@ -202,17 +203,36 @@ _UNUSED_KEYS = {
 
 def _build(base, values: dict, doc: dict, **fixed):
     """``base`` with ``fixed`` and the fields the document sets. A broken
-    invariant becomes a ConfigError led by the first document key its
-    message names: invariants name fields, and each field stands for the
-    keys that set it (``_SETTERS``, or the key of the field's own name)."""
+    invariant becomes a ConfigError led by a document key its message
+    names: invariants name fields, and each field stands for the keys that
+    set it (``_SETTERS``, or the key of the field's own name). The lead is
+    the first such key, after the powers that meet the invariant on their
+    own (beside the fields the document does not set): a power bound lists
+    every power its scale reads, in range or not."""
     names = {f.name for f in fields(base)}
+    changes = {**fixed, **{field: values[key] for key, (_, field) in _KEYS.items()
+                           if field in names and key in values}}
     try:
-        return replace(base, **fixed, **{field: values[key] for key, (_, field) in _KEYS.items()
-                                         if field in names and key in values})
+        return replace(base, **changes)
     except ValueError as err:
-        named = [key for word in re.findall(r"\w+", str(err))
-                 for key in _SETTERS.get(word, (word,)) if key in doc]
-        raise ConfigError(f"{named[0]}: {err}" if named else str(err)) from err
+        setters = {field: [key for key in _SETTERS.get(field, (field,)) if key in doc]
+                   for field in changes}
+        unset = {field: value for field, value in changes.items() if not setters[field]}
+        named = [field for field in dict.fromkeys(re.findall(r"\w+", str(err)))
+                 if setters.get(field)]
+        in_range = {field for field in named
+                    if field in _POWERS and _holds(base, {**unset, field: changes[field]})}
+        keys = [key for field in sorted(named, key=in_range.__contains__)
+                for key in setters[field]]
+        raise ConfigError(f"{keys[0]}: {err}" if keys else str(err)) from err
+
+
+def _holds(base, changes: dict) -> bool:
+    try:
+        replace(base, **changes)
+    except ValueError:
+        return False
+    return True
 
 
 def parse_config(text: str, scenario: str | Scenario | None = None,

@@ -134,30 +134,41 @@ def _unconverged_note(unconverged: int, runs: int) -> str:
     return f"max-asnr: {unconverged} of {runs} runs did not converge"
 
 
-# Trials drawn and designed together by ``run_convergence``. Larger blocks
-# are faster (128 rows ran the convergence benchmark at about 1.4x the
-# trials/s of 32) but hold more memory per block, and the benchmark's peak
-# RSS reading also grows with the outputs its harness keeps per run.
-CONVERGENCE_BLOCK = 32
+# Channel entries (trials times elements) that the batched runners draw
+# and design at once: blocks of ``max(1, BLOCK_ENTRIES // N)`` trials, 128
+# at N = 64. A block's arrays are a few times BLOCK_ENTRIES complex values,
+# so memory stays bounded at any N and trial count, and the per-block numpy
+# dispatch is spread over as many trials as that bound allows.
+BLOCK_ENTRIES = 8192
+
+
+def _blocks(params: SystemParams, seeds: list[int]):
+    """Yield ``(start, block_seeds, (g, f, h))`` for consecutive blocks of
+    ``max(1, BLOCK_ENTRIES // N)`` trials, drawn with
+    ``sample_channels_batch``; ``start`` is the block's first trial index."""
+    size = max(1, BLOCK_ENTRIES // params.n_elements)
+    for start in range(0, len(seeds), size):
+        block = seeds[start:start + size]
+        yield start, block, sample_channels_batch(params, block)
 
 
 def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Per-iteration scale and rate traces of the iterative method, one
-    block of rows per element count, one trace per seed.
+    group of rows per element count, one trace per seed.
 
-    Trials are drawn and designed in blocks of ``CONVERGENCE_BLOCK`` with
-    ``max_asnr_batch``, which equals ``max_asnr`` trial by trial, bit for
-    bit. The seeds of all trials are mixed once, since they do not depend
-    on N. A note counts the runs that hit ``max_iterations``.
+    Trials are drawn and designed in blocks of ``max(1, BLOCK_ENTRIES // N)``
+    (``_blocks``) with ``max_asnr_batch``, which equals ``max_asnr`` trial
+    by trial, bit for bit; so the memory beside the output rows stays
+    bounded at any N and trial count. The seeds of all trials are mixed
+    once, since they do not depend on N. A note counts the runs that hit
+    ``max_iterations``.
     """
     rows: list[tuple] = []
     unconverged = 0
     all_seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
     for n in cfg.n_values:
         params = cfg.params_for(n)
-        for start in range(0, cfg.trials, CONVERGENCE_BLOCK):
-            seeds = all_seeds[start:start + CONVERGENCE_BLOCK]
-            g, f, h = sample_channels_batch(params, seeds)
+        for start, seeds, (g, f, h) in _blocks(params, all_seeds):
             batch = max_asnr_batch(g, f, h, params, cfg.solver,
                                    np.arange(start, start + len(seeds)))
             rows.extend((seed, it, lam, rate_bits)
@@ -174,30 +185,39 @@ def run_srr_sweep(cfg: ExperimentConfig,
     reference row per power level.
 
     Each trial is seeded and drawn once for the whole sweep (the draw does
-    not depend on P_S), and every cell runs over all trials as array
-    operations that equal ``srr``/``mrr`` -> ``metrics.snr`` ->
-    ``metrics.rate`` trial by trial, bit for bit.
+    not depend on P_S), in blocks of ``max(1, BLOCK_ENTRIES // N)``
+    (``_blocks``). Each block designs every k once and evaluates every
+    (P_S, cell) as array operations that equal ``srr``/``mrr`` ->
+    ``metrics.snr`` -> ``metrics.rate`` trial by trial, bit for bit. Each
+    cell's rates are joined in trial order before its mean and std; so
+    beside one rate per trial and cell, memory stays bounded at any trial
+    count.
     """
     n = cfg.n_values[0]
     seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
-    g, f, h = sample_channels_batch(cfg.params_for(n), seeds)
     cells = [(Method.SRR, k) for k in cfg.k_values] + [(Method.MRR, n)]
-    designs = {k: srr_batch(g, f, h, k) for k in {k for _, k in cells}}
-    rows: list[tuple] = []
-    trial_rows: list[tuple] = []
-    for p_s_dbm in cfg.p_s_dbm_values:
-        params = cfg.params_for(n, p_s_dbm=p_s_dbm)
-        for method, k in cells:
+    levels = [(p_s_dbm, cfg.params_for(n, p_s_dbm=p_s_dbm)) for p_s_dbm in cfg.p_s_dbm_values]
+    grid = [(p_s_dbm, params, method.value, k)
+            for p_s_dbm, params in levels for method, k in cells]
+    selections = {k for _, k in cells}
+    parts: list[list[np.ndarray]] = [[] for _ in grid]
+    for _, _, (g, f, h) in _blocks(cfg.params_for(n), seeds):
+        designs = {k: srr_batch(g, f, h, k) for k in selections}
+        for part, (_, params, _, k) in zip(parts, grid):
             design = designs[k]
             p = np.multiply(design.lam(params)[:, None], design.p_normalized)
-            rates = metrics.rate_batch(p, g, f, h, params)
-            rows.append((k, p_s_dbm, method.value, float(np.mean(rates)),
-                         _sample_std(rates), cfg.trials))
-            if verbose_trials:
-                trial_rows.extend(
-                    (k, p_s_dbm, method.value, t, seed, r)
-                    for t, (seed, r) in enumerate(zip(seeds, rates))
-                )
+            part.append(metrics.rate_batch(p, g, f, h, params))
+    rows: list[tuple] = []
+    trial_rows: list[tuple] = []
+    for part, (p_s_dbm, _, method, k) in zip(parts, grid):
+        rates = np.concatenate(part)
+        rows.append((k, p_s_dbm, method, float(np.mean(rates)),
+                     _sample_std(rates), cfg.trials))
+        if verbose_trials:
+            trial_rows.extend(
+                (k, p_s_dbm, method, t, seed, r)
+                for t, (seed, r) in enumerate(zip(seeds, rates))
+            )
     return ExperimentResult(
         SRR_SWEEP_HEADER, rows,
         trial_header=("k", "p_s_dbm", "method", "trial", "seed", "rate_bits")

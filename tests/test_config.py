@@ -156,6 +156,17 @@ class TestValidation:
         cfg = parse_config('{"p_s_dbm_values": [0, 30]}', scenario="srr-sweep")
         assert cfg.params.p_s == dbm_to_watts(0.0)
 
+    @pytest.mark.parametrize("doc", [
+        {"sigma_u_sq_dbm": 3000},
+        # The bound's message lists p_s too, which is in range on its own.
+        {"p_s_dbm": 20, "sigma_u_sq_dbm": 3000},
+        {"p_i_dbm": 20, "p_s_dbm": 20, "sigma_u_sq_dbm": 3000},
+    ])
+    def test_power_bound_leads_with_the_power_out_of_range(self, doc):
+        with pytest.raises(ConfigError, match=r"^sigma_u_sq_dbm: .*, p_s = .* W, .*"
+                                              r"sigma_u_sq = 1e\+297 W make "):
+            parse_config(json.dumps(doc))
+
     def test_oracle_check_limits_n(self):
         with pytest.raises(ConfigError, match="n_values"):
             parse_config('{"n_values": [8]}', scenario="oracle-check")

@@ -28,8 +28,8 @@ from irsbeam import (
     srr_batch,
     trial_seed,
 )
+from irsbeam import experiments
 from irsbeam.experiments import (
-    CONVERGENCE_BLOCK,
     CONVERGENCE_HEADER,
     ORACLE_CHECK_HEADER,
     RATE_VS_N_HEADER,
@@ -81,8 +81,14 @@ class TestConvergenceRun:
                 unconverged += not trace.converged
         return rows, unconverged
 
-    def test_rows_equal_scalar_traces_across_blocks(self):
-        trials = 2 * CONVERGENCE_BLOCK + 5
+    def test_rows_equal_scalar_traces_across_blocks(self, monkeypatch):
+        # Blocks of 8 trials at N = 4 and 2 at N = 16: 21 trials cross at
+        # least two block boundaries and end on a ragged tail at both.
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 32)
+        trials = 21
+        for n in (4, 16):
+            rows_per_block = experiments.BLOCK_ENTRIES // n
+            assert trials > 2 * rows_per_block and trials % rows_per_block
         cfg = small_config("convergence", n_values=[4, 16], trials=trials)
         result = run_convergence(cfg)
         rows, unconverged = self._scalar_rows(cfg)
@@ -131,6 +137,17 @@ class TestSrrSweepRun:
         mrr_rates = {r[3]: r[5] for r in result.trial_rows if r[2] == "mrr"}
         for trial, rate_bits in srr_rates.items():
             assert rate_bits == pytest.approx(mrr_rates[trial], rel=1e-12)
+
+    def test_blocks_equal_one_block(self, monkeypatch):
+        # 4 trials per block at N = 8: 19 trials make five blocks, the last
+        # of three trials.
+        cfg = small_config("srr-sweep", n_values=[8], k_values=[2, 5, 8],
+                           p_s_dbm_values=[0.0, 15.0, 30.0], trials=19)
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 8 * cfg.trials)
+        whole = run_srr_sweep(cfg, verbose_trials=True)
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 32)
+        blocked = run_srr_sweep(cfg, verbose_trials=True)
+        assert blocked == whole
 
     def test_trial_log_reproduces_summary(self):
         cfg = small_config("srr-sweep", n_values=[8], k_values=[4],
@@ -187,7 +204,6 @@ class TestSrrBatch:
             srr_batch(g, f, h, 2)
 
     def test_sweep_draws_each_trial_once(self, monkeypatch):
-        from irsbeam import experiments
         calls = []
 
         def counted(params, seeds):
@@ -195,10 +211,39 @@ class TestSrrBatch:
             return sample_channels_batch(params, seeds)
 
         monkeypatch.setattr(experiments, "sample_channels_batch", counted)
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 24)
         cfg = small_config("srr-sweep", n_values=[8], k_values=[2, 8],
                            p_s_dbm_values=[0.0, 15.0])
         run_srr_sweep(cfg)
-        assert calls == [[trial_seed(cfg.master_seed, t) for t in range(cfg.trials)]]
+        assert [len(seeds) for seeds in calls] == [3, 3, 2]
+        assert sum(calls, []) == [trial_seed(cfg.master_seed, t) for t in range(cfg.trials)]
+
+
+class TestMemoryBound:
+    """Blocks of ``BLOCK_ENTRIES`` channel entries bound what a batched run
+    holds beside its output, at any N and trial count (tracemalloc sees
+    numpy's buffers)."""
+
+    @staticmethod
+    def _peak_mb(run, cfg):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            run(cfg)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_convergence_at_large_n(self):
+        # One trial per block; one (40, 4N + 2) draw would take 84 MB alone.
+        cfg = small_config("convergence", n_values=[65536], trials=40)
+        assert self._peak_mb(run_convergence, cfg) < 32
+
+    def test_srr_sweep_at_many_trials(self):
+        # One (20000, 4N + 2) draw would take 41 MB alone.
+        cfg = small_config("srr-sweep", n_values=[64], k_values=[32],
+                           p_s_dbm_values=[15.0], trials=20000)
+        assert self._peak_mb(run_srr_sweep, cfg) < 16
 
 
 class TestRateVsNRun:
@@ -266,7 +311,6 @@ class TestSingleAndOracleRuns:
             assert row[5] == pytest.approx(row[4] - row[3], abs=1e-12)
 
     def test_oracle_check_runs_max_asnr_once_per_draw(self, monkeypatch):
-        from irsbeam import experiments
         calls = []
 
         def counted(ch, params, opts):
