@@ -75,12 +75,12 @@ def _trial_log_path(out_path: Path) -> Path:
 
 def _write_result(result: ExperimentResult, cfg: ExperimentConfig) -> None:
     out_path = Path(cfg.output_path or f"{cfg.scenario.value}.csv")
-    out_path.write_text(format_csv(result.header, result.rows))
-    print(f"wrote {len(result.rows)} rows to {out_path}")
-    if result.trial_rows is not None:
+    out_path.write_text(format_csv(result.header, result.table))
+    print(f"wrote {len(result.table)} rows to {out_path}")
+    if result.trial_table is not None:
         log_path = _trial_log_path(out_path)
-        log_path.write_text(format_csv(result.trial_header, result.trial_rows))
-        print(f"wrote {len(result.trial_rows)} per-trial rows to {log_path}")
+        log_path.write_text(format_csv(result.trial_header, result.trial_table))
+        print(f"wrote {len(result.trial_table)} per-trial rows to {log_path}")
     for note in result.notes:
         print(note)
 

@@ -14,6 +14,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -147,6 +148,9 @@ def _position(key: str, value) -> tuple[float, float]:
 def _path(key: str, value) -> str:
     _require(isinstance(value, str) and value != "", key,
              f"expected a non-empty string, got {value!r}")
+    # The CSV and its trial log are written there once every trial has run.
+    parent = Path(value).parent
+    _require(parent.is_dir(), key, f"{str(parent)!r} is not an existing directory")
     return value
 
 

@@ -8,7 +8,10 @@ functions of their seed, so identical configs give identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .system import ChannelRealization, SystemParams, sample_channels, \
 
 __all__ = [
     "ExperimentResult",
+    "Table",
     "build_beamformer",
     "monte_carlo_rates",
     "run_convergence",
@@ -46,14 +50,34 @@ RATE_VS_N_HEADER = ("n", "method", "mean_rate_bits", "std_rate_bits", "trials")
 ORACLE_CHECK_HEADER = ("seed", "n", "method", "rate_bits", "best_rate_bits", "gap_bits")
 
 
+@dataclass
+class Table:
+    """The rows of a CSV, held as blocks ``(lead, columns)``.
+
+    Each row of a block is its ``lead`` values followed by one value from
+    each of its ``columns``, sequences of one length; a block without
+    columns is the one row ``lead``. Blocks may share a column object
+    (the trial and seed columns of a trial log), which ``format_csv`` then
+    renders once. ``len`` is the number of rows.
+    """
+
+    blocks: list[tuple[tuple, tuple[Sequence, ...]]] = field(default_factory=list)
+
+    def add(self, lead: tuple = (), *columns: Sequence) -> None:
+        self.blocks.append((lead, columns))
+
+    def __len__(self) -> int:
+        return sum(len(columns[0]) if columns else 1 for _, columns in self.blocks)
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     """CSV-ready experiment output plus optional per-trial log."""
 
     header: tuple[str, ...]
-    rows: list[tuple]
+    table: Table
     trial_header: tuple[str, ...] | None = None
-    trial_rows: list[tuple] | None = None
+    trial_table: Table | None = None
     notes: tuple[str, ...] = ()
 
 
@@ -106,20 +130,21 @@ def _channel_rate(method: Method, ch: ChannelRealization, params: SystemParams,
     return metrics.rate(metrics.snr(bf, ch, params)), converged
 
 
-def _trial_rates(method: Method, params: SystemParams, trials: int, master_seed: int,
+def _trial_rates(method: Method, params: SystemParams, seeds: list[int], master_seed: int,
                  k: int | None, solver: SolverOptions | None) -> tuple[np.ndarray, int]:
-    """Per-trial rates in trial order, and how many designs did not converge."""
-    if trials < 1:
+    """Per-trial rates in trial order, and how many designs did not
+    converge; trial t is drawn from ``seeds[t]``."""
+    if not seeds:
         raise ValueError("trials must be >= 1")
 
-    def one(t: int) -> tuple[float, bool]:
+    def one(t: int, seed: int) -> tuple[float, bool]:
         try:
-            ch = sample_channels(params, trial_seed(master_seed, t))
+            ch = sample_channels(params, seed)
             return _channel_rate(method, ch, params, master_seed, t, k, solver)
         except Exception as err:
             raise RuntimeError(f"trial {t} failed for method {method.value}: {err}") from err
 
-    rates, converged = zip(*(one(t) for t in range(trials)))
+    rates, converged = zip(*(one(t, seed) for t, seed in enumerate(seeds)))
     return np.array(rates), converged.count(False)
 
 
@@ -127,7 +152,8 @@ def monte_carlo_rates(method: Method, params: SystemParams, trials: int,
                       master_seed: int, k: int | None = None,
                       solver: SolverOptions | None = None) -> np.ndarray:
     """Per-trial achievable rates, in trial order."""
-    return _trial_rates(method, params, trials, master_seed, k, solver)[0]
+    seeds = trial_seeds(master_seed, range(trials))
+    return _trial_rates(method, params, seeds, master_seed, k, solver)[0]
 
 
 def _unconverged_note(unconverged: int, runs: int) -> str:
@@ -160,23 +186,28 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     (``_blocks``) with ``max_asnr_batch``, which equals ``max_asnr`` trial
     by trial, bit for bit; so the memory beside the output rows stays
     bounded at any N and trial count. The seeds of all trials are mixed
-    once, since they do not depend on N. A note counts the runs that hit
-    ``max_iterations``.
+    once, since they do not depend on N. The rows of each N are one block
+    of four columns. A note counts the runs that hit ``max_iterations``.
     """
-    rows: list[tuple] = []
+    table = Table()
     unconverged = 0
     all_seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
     for n in cfg.n_values:
         params = cfg.params_for(n)
-        for start, seeds, (g, f, h) in _blocks(params, all_seeds):
+        seeds: list[int] = []
+        iterations: list[int] = []
+        records: list[tuple[float, float]] = []
+        for start, block, (g, f, h) in _blocks(params, all_seeds):
             batch = max_asnr_batch(g, f, h, params, cfg.solver,
-                                   np.arange(start, start + len(seeds)))
-            rows.extend((seed, it, lam, rate_bits)
-                        for seed, records in zip(seeds, batch.records)
-                        for it, (lam, rate_bits) in enumerate(records))
+                                   np.arange(start, start + len(block)))
+            for seed, trace in zip(block, batch.records):
+                seeds += [seed] * len(trace)
+                iterations += range(len(trace))
+                records += trace
             unconverged += int(np.count_nonzero(~batch.converged))
+        table.add((), seeds, iterations, *zip(*records))
     notes = (_unconverged_note(unconverged, len(cfg.n_values) * cfg.trials),)
-    return ExperimentResult(CONVERGENCE_HEADER, rows, notes=notes)
+    return ExperimentResult(CONVERGENCE_HEADER, table, notes=notes)
 
 
 def run_srr_sweep(cfg: ExperimentConfig,
@@ -191,7 +222,8 @@ def run_srr_sweep(cfg: ExperimentConfig,
     ``metrics.snr`` -> ``metrics.rate`` trial by trial, bit for bit. Each
     cell's rates are joined in trial order before its mean and std; so
     beside one rate per trial and cell, memory stays bounded at any trial
-    count.
+    count. Each cell's trial log is one block led by the cell, and every
+    block shares one trial and one seed column.
     """
     n = cfg.n_values[0]
     seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
@@ -207,22 +239,18 @@ def run_srr_sweep(cfg: ExperimentConfig,
             design = designs[k]
             p = np.multiply(design.lam(params)[:, None], design.p_normalized)
             part.append(metrics.rate_batch(p, g, f, h, params))
-    rows: list[tuple] = []
-    trial_rows: list[tuple] = []
+    table, log = Table(), Table()
+    trial_column = range(cfg.trials)
     for part, (p_s_dbm, _, method, k) in zip(parts, grid):
         rates = np.concatenate(part)
-        rows.append((k, p_s_dbm, method, float(np.mean(rates)),
-                     _sample_std(rates), cfg.trials))
+        table.add((k, p_s_dbm, method, float(np.mean(rates)), _sample_std(rates), cfg.trials))
         if verbose_trials:
-            trial_rows.extend(
-                (k, p_s_dbm, method, t, seed, r)
-                for t, (seed, r) in enumerate(zip(seeds, rates))
-            )
+            log.add((k, p_s_dbm, method), trial_column, seeds, rates.tolist())
     return ExperimentResult(
-        SRR_SWEEP_HEADER, rows,
+        SRR_SWEEP_HEADER, table,
         trial_header=("k", "p_s_dbm", "method", "trial", "seed", "rate_bits")
         if verbose_trials else None,
-        trial_rows=trial_rows if verbose_trials else None,
+        trial_table=log if verbose_trials else None,
     )
 
 
@@ -234,30 +262,28 @@ def run_rate_vs_n(cfg: ExperimentConfig,
                   verbose_trials: bool = False) -> ExperimentResult:
     """Mean rate of every method across the element-count grid, on the
     cells of ``_summary_cells``. Also runs ``single``, whose default grid
-    is N = 64. A note counts the ``max_asnr`` runs that hit
-    ``max_iterations``."""
-    rows: list[tuple] = []
-    trial_rows: list[tuple] = []
-    seeds = trial_seeds(cfg.master_seed, range(cfg.trials)) if verbose_trials else ()
+    is N = 64. Every cell draws its trials from one list of seeds, which
+    the trial log's blocks share as their seed column. A note counts the
+    ``max_asnr`` runs that hit ``max_iterations``."""
+    table, log = Table(), Table()
+    seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
+    trial_column = range(cfg.trials)
     unconverged = 0
     for n in cfg.n_values:
         params = cfg.params_for(n)
         for method, k in _summary_cells(n):
-            rates, missed = _trial_rates(method, params, cfg.trials, cfg.master_seed,
+            rates, missed = _trial_rates(method, params, seeds, cfg.master_seed,
                                          k, cfg.solver)
             unconverged += missed
-            rows.append((n, method.value, float(np.mean(rates)),
-                         _sample_std(rates), cfg.trials))
+            table.add((n, method.value, float(np.mean(rates)), _sample_std(rates),
+                       cfg.trials))
             if verbose_trials:
-                trial_rows.extend(
-                    (n, method.value, t, seed, r)
-                    for t, (seed, r) in enumerate(zip(seeds, rates))
-                )
+                log.add((n, method.value), trial_column, seeds, rates.tolist())
     return ExperimentResult(
-        RATE_VS_N_HEADER, rows,
+        RATE_VS_N_HEADER, table,
         trial_header=("n", "method", "trial", "seed", "rate_bits")
         if verbose_trials else None,
-        trial_rows=trial_rows if verbose_trials else None,
+        trial_table=log if verbose_trials else None,
         notes=(_unconverged_note(unconverged, len(cfg.n_values) * cfg.trials),),
     )
 
@@ -268,24 +294,31 @@ run_single = run_rate_vs_n
 
 def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
     """Compare every method against the brute-force grid optimum at small
-    element counts. A note counts the ``max_asnr`` design runs that hit
+    element counts. The rows of each N are one block of six columns,
+    trial-major. A note counts the ``max_asnr`` design runs that hit
     ``max_iterations``."""
-    rows: list[tuple] = []
+    table = Table()
     unconverged = 0
+    seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
     for n in cfg.n_values:
         params = cfg.params_for(n)
-        for t in range(cfg.trials):
-            seed = trial_seed(cfg.master_seed, t)
+        cells = _summary_cells(n)
+        rates: list[float] = []
+        best: list[float] = []
+        for t, seed in enumerate(seeds):
             ch = sample_channels(params, seed)
-            best = grid_search_best(ch, params, CHECK_PHASE_STEPS, CHECK_AMPLITUDE_STEPS)
-            for method, k in _summary_cells(n):
+            best += [grid_search_best(ch, params, CHECK_PHASE_STEPS,
+                                      CHECK_AMPLITUDE_STEPS).best_rate_bits] * len(cells)
+            for method, k in cells:
                 r, converged = _channel_rate(method, ch, params, cfg.master_seed, t,
                                              k, cfg.solver)
                 unconverged += not converged
-                rows.append((seed, n, method.value, r, best.best_rate_bits,
-                             best.best_rate_bits - r))
+                rates.append(r)
+        table.add((), [seed for seed in seeds for _ in cells], [n] * len(rates),
+                  [method.value for method, _ in cells] * len(seeds), rates, best,
+                  [b - r for b, r in zip(best, rates)])
     notes = (_unconverged_note(unconverged, len(cfg.n_values) * cfg.trials),)
-    return ExperimentResult(ORACLE_CHECK_HEADER, rows, notes=notes)
+    return ExperimentResult(ORACLE_CHECK_HEADER, table, notes=notes)
 
 
 def _conversion(value) -> str:
@@ -298,20 +331,46 @@ def _conversion(value) -> str:
     raise TypeError(f"cannot serialize {value!r} into CSV")
 
 
-def format_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
-    """Render rows with fixed column order, 12-significant-digit floats,
+def _field(value) -> str:
+    return _conversion(value) % value
+
+
+def format_csv(header: tuple[str, ...], table: Table) -> str:
+    """Render a table with fixed column order, 12-significant-digit floats,
     and LF line endings, so identical results yield identical bytes.
 
     Strings are written as they are, integers (bool and numpy integers
     too) as decimal digits, floats (numpy floats too) with ``%.12g``; any
-    other value raises TypeError. Each row is rendered by one %-template,
-    made once per tuple of value types."""
-    templates: dict[tuple[type, ...], str] = {}
-    lines = [",".join(header)]
-    for row in rows:
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join(map(_conversion, row))
-        lines.append(template % row)
-    return "\n".join(lines) + "\n"
+    other value raises TypeError. Each block's lead is rendered once. A
+    column whose values share one type takes one %-conversion in the
+    block's row template, a column of mixed types is rendered value by
+    value, and a column object that several blocks share is rendered once
+    per call. Each block's rows are then filled in by one %-operation."""
+    uses = Counter(id(column) for _, columns in table.blocks for column in columns)
+    shared: dict[int, list[str]] = {}
+    parts = [",".join(header) + "\n"]
+    for lead, columns in table.blocks:
+        head = ",".join(map(_field, lead))
+        if not columns:
+            parts.append(head + "\n")
+            continue
+        size = len(columns[0])
+        if any(len(column) != size for column in columns):
+            raise ValueError(f"block {lead!r}: columns must have one length")
+        conversions = [head.replace("%", "%%")] if lead else []
+        values = []
+        for column in columns:
+            if uses[id(column)] > 1:
+                if id(column) not in shared:
+                    shared[id(column)] = [_field(v) for v in column]
+                conversions.append("%s")
+                values.append(shared[id(column)])
+            elif len(set(map(type, column))) == 1:
+                conversions.append(_conversion(column[0]))
+                values.append(column)
+            else:
+                conversions.append("%s")
+                values.append([_field(v) for v in column])
+        template = (",".join(conversions) + "\n") * size
+        parts.append(template % tuple(chain.from_iterable(zip(*values))))
+    return "".join(parts)

@@ -31,6 +31,12 @@ def random_channel(rng, n, scale_g=1.0, scale_f=1.0, scale_h=1.0):
     return ChannelRealization(g=g, f=f, h=h)
 
 
+def rows_of(table):
+    """The rows of an ``experiments.Table`` as tuples, block by block."""
+    return [lead + values for lead, columns in table.blocks
+            for values in (zip(*columns) if columns else [()])]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

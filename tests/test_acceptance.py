@@ -40,6 +40,8 @@ from irsbeam import (
     trial_seed,
 )
 
+from conftest import rows_of
+
 MASTER_SEED = 12345
 
 
@@ -140,7 +142,7 @@ def test_criterion_4_srr_sweep_close_to_mrr():
            "k_values": [4, 8, 16, 32, 64], "p_s_dbm_values": [15.0]}
     cfg = parse_config(json.dumps(doc), scenario="srr-sweep")
     result = run_srr_sweep(cfg)
-    means = {(row[0], row[2]): row[3] for row in result.rows}
+    means = {(row[0], row[2]): row[3] for row in rows_of(result.table)}
     k4, k32, k64 = means[(4, "srr")], means[(32, "srr")], means[(64, "srr")]
     mrr_mean = means[(64, "mrr")]
     endpoint_gain = k64 - k4
@@ -182,9 +184,9 @@ def _check_order(cfg, links: tuple[tuple[str, str], ...],
     are checked as well."""
     point = _operating_point(cfg.params_for(cfg.n_values[0]))
     result = run_rate_vs_n(cfg, verbose_trials=True)
-    means = {(row[0], row[1]): row[2] for row in result.rows}
+    means = {(row[0], row[1]): row[2] for row in rows_of(result.table)}
     rates: dict[tuple[int, str], list[float]] = {}
-    for n, method, _, _, rate in result.trial_rows:
+    for n, method, _, _, rate in rows_of(result.trial_table):
         rates.setdefault((n, method), []).append(rate)
     failures = []
     lines = []
@@ -354,14 +356,14 @@ def test_criterion_9_determinism():
     """Identical configs produce identical bytes when rerun."""
     doc = {"trials": 8, "master_seed": 7, "n_values": [8]}
     cfg = parse_config(json.dumps(doc), scenario="rate-vs-n")
-    csv_a, csv_b = (format_csv(r.header, r.rows) for r in (run_rate_vs_n(cfg),
+    csv_a, csv_b = (format_csv(r.header, r.table) for r in (run_rate_vs_n(cfg),
                                                            run_rate_vs_n(cfg)))
 
     sweep_doc = {"trials": 6, "master_seed": 7, "n_values": [8], "k_values": [2, 8],
                  "p_s_dbm_values": [15.0]}
     sweep_cfg = parse_config(json.dumps(sweep_doc), scenario="srr-sweep")
     sweep_a, sweep_b = (
-        format_csv(r.header, r.rows) + format_csv(r.trial_header, r.trial_rows)
+        format_csv(r.header, r.table) + format_csv(r.trial_header, r.trial_table)
         for r in (run_srr_sweep(sweep_cfg, verbose_trials=True),
                   run_srr_sweep(sweep_cfg, verbose_trials=True)))
 

@@ -229,10 +229,33 @@ def test_missing_config_file_exit_code(tmp_path):
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):
+    # The output path is an existing directory: the CSV cannot be written.
     cfg = write_config(tmp_path, trials=2, n_values=[4])
-    missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
-    assert main(["single", "--config", cfg, "--out", str(missing_dir)]) == 3
+    assert main(["single", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parent", ["no/such/dir", "config.json"])
+@pytest.mark.parametrize("source", ["flag", "document"])
+def test_output_path_outside_an_existing_directory_is_a_config_error(tmp_path, capsys,
+                                                                     monkeypatch, parent,
+                                                                     source):
+    # A missing parent, or a file as parent, fails before any trial runs.
+    out = tmp_path / parent / "sweep.csv"
+    doc = {"trials": 2, "n_values": [8], "k_values": [4]}
+    if source == "document":
+        doc["output_path"] = str(out)
+    cfg = write_config(tmp_path, **doc)
+    from irsbeam import cli
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setitem(cli._RUNNERS, cli.Scenario.SRR_SWEEP, no_trials)
+    argv = ["srr-sweep", "--config", cfg, "--verbose-trials"]
+    assert main(argv + (["--out", str(out)] if source == "flag" else [])) == 2
+    assert "config error: output_path: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

@@ -8,6 +8,7 @@ from irsbeam import (
     Method,
     SolverOptions,
     SystemParams,
+    Table,
     dbm_to_watts,
     format_csv,
     max_asnr,
@@ -36,6 +37,8 @@ from irsbeam.experiments import (
     SRR_SWEEP_HEADER,
 )
 
+from conftest import rows_of
+
 
 def small_config(scenario, **extra):
     import json
@@ -49,7 +52,7 @@ class TestMonteCarlo:
         cfg = small_config("rate-vs-n", n_values=[8], trials=1)
         rates = monte_carlo_rates(Method.MRR, cfg.params_for(8), trials=1,
                                   master_seed=cfg.master_seed)
-        assert run_rate_vs_n(cfg).rows[1] == (8, "mrr", rates[0], 0.0, 1)
+        assert rows_of(run_rate_vs_n(cfg).table)[1] == (8, "mrr", rates[0], 0.0, 1)
 
     def test_trial_failure_carries_index(self):
         params = SystemParams.default(4)
@@ -62,10 +65,11 @@ class TestConvergenceRun:
         cfg = small_config("convergence", n_values=[8])
         result = run_convergence(cfg)
         assert result.header == CONVERGENCE_HEADER
-        seeds = {row[0] for row in result.rows}
+        rows = rows_of(result.table)
+        seeds = {row[0] for row in rows}
         assert len(seeds) == cfg.trials
         for seed in seeds:
-            iters = [row[1] for row in result.rows if row[0] == seed]
+            iters = [row[1] for row in rows if row[0] == seed]
             assert iters == list(range(len(iters)))
             assert len(iters) <= cfg.solver.max_iterations + 1
 
@@ -92,8 +96,10 @@ class TestConvergenceRun:
         cfg = small_config("convergence", n_values=[4, 16], trials=trials)
         result = run_convergence(cfg)
         rows, unconverged = self._scalar_rows(cfg)
-        assert result.rows == rows
-        assert format_csv(CONVERGENCE_HEADER, result.rows) == format_csv(CONVERGENCE_HEADER, rows)
+        assert rows_of(result.table) == rows
+        assert len(result.table.blocks) == len(cfg.n_values)     # one block per N
+        assert format_csv(CONVERGENCE_HEADER, result.table) == \
+            _oracle_csv(CONVERGENCE_HEADER, rows)
         assert result.notes == (f"max-asnr: {unconverged} of {2 * trials} runs did not converge",)
 
     def test_unconverged_runs_are_counted(self):
@@ -101,7 +107,7 @@ class TestConvergenceRun:
         assert cfg.solver == SolverOptions(tolerance=1e-16, max_iterations=2)
         result = run_convergence(cfg)
         rows, unconverged = self._scalar_rows(cfg)
-        assert result.rows == rows
+        assert rows_of(result.table) == rows
         assert unconverged > 0
         assert result.notes == (f"max-asnr: {unconverged} of {cfg.trials} runs did not converge",)
 
@@ -111,7 +117,7 @@ class TestConvergenceRun:
                            scenario="convergence")
         result = run_convergence(cfg)
         by_seed = {}
-        for seed, it, lam, rate_bits in result.rows:
+        for seed, it, lam, rate_bits in rows_of(result.table):
             by_seed.setdefault(seed, []).append((it, rate_bits))
         improved = sum(
             1 for recs in by_seed.values()
@@ -126,15 +132,16 @@ class TestSrrSweepRun:
                            p_s_dbm_values=[15.0])
         result = run_srr_sweep(cfg, verbose_trials=True)
         assert result.header == SRR_SWEEP_HEADER
-        methods = [(row[0], row[2]) for row in result.rows]
+        methods = [(row[0], row[2]) for row in rows_of(result.table)]
         assert methods == [(2, "srr"), (8, "srr"), (8, "mrr")]
 
     def test_full_selection_row_equals_mrr_per_trial(self):
         cfg = small_config("srr-sweep", n_values=[8], k_values=[8],
                            p_s_dbm_values=[15.0])
         result = run_srr_sweep(cfg, verbose_trials=True)
-        srr_rates = {r[3]: r[5] for r in result.trial_rows if r[2] == "srr"}
-        mrr_rates = {r[3]: r[5] for r in result.trial_rows if r[2] == "mrr"}
+        log = rows_of(result.trial_table)
+        srr_rates = {r[3]: r[5] for r in log if r[2] == "srr"}
+        mrr_rates = {r[3]: r[5] for r in log if r[2] == "mrr"}
         for trial, rate_bits in srr_rates.items():
             assert rate_bits == pytest.approx(mrr_rates[trial], rel=1e-12)
 
@@ -153,9 +160,9 @@ class TestSrrSweepRun:
         cfg = small_config("srr-sweep", n_values=[8], k_values=[4],
                            p_s_dbm_values=[10.0, 15.0])
         result = run_srr_sweep(cfg, verbose_trials=True)
-        for k, p_s_dbm, method, mean, std, count in result.rows:
+        for k, p_s_dbm, method, mean, std, count in rows_of(result.table):
             rates = np.array([
-                r[5] for r in result.trial_rows
+                r[5] for r in rows_of(result.trial_table)
                 if (r[0], r[1], r[2]) == (k, p_s_dbm, method)
             ])
             assert rates.size == count
@@ -265,8 +272,9 @@ class TestRateVsNRun:
         cfg = small_config("rate-vs-n", n_values=[4, 8])
         result = run_rate_vs_n(cfg)
         assert result.header == RATE_VS_N_HEADER
-        assert [row[0] for row in result.rows] == [4] * 6 + [8] * 6
-        assert [row[1] for row in result.rows][:6] == [
+        rows = rows_of(result.table)
+        assert [row[0] for row in rows] == [4] * 6 + [8] * 6
+        assert [row[1] for row in rows][:6] == [
             "max-asnr", "mrr", "srr", "egr", "random-phase", "passive-aligned"
         ]
 
@@ -275,7 +283,7 @@ class TestRateVsNRun:
         cfg = parse_config(json.dumps({"trials": 300, "master_seed": 12345,
                                        "n_values": [16, 64]}), scenario="rate-vs-n")
         result = run_rate_vs_n(cfg)
-        means = {(row[0], row[1]): row[2] for row in result.rows}
+        means = {(row[0], row[1]): row[2] for row in rows_of(result.table)}
         # array gain: the four budget-constrained designs improve with N
         # (incoherent random phases saturate, so they are not checked)
         for method in ("max-asnr", "mrr", "srr", "egr"):
@@ -286,7 +294,7 @@ class TestRateVsNRun:
         cfg = parse_config(json.dumps({"trials": 300, "master_seed": 12345,
                                        "n_values": [16]}), scenario="rate-vs-n")
         result = run_rate_vs_n(cfg)
-        means = {row[1]: row[2] for row in result.rows}
+        means = {row[1]: row[2] for row in rows_of(result.table)}
         assert means["egr"] >= means["random-phase"]
 
 
@@ -295,19 +303,19 @@ class TestSingleAndOracleRuns:
         cfg = small_config("single", n_values=[8])
         result = run_rate_vs_n(cfg, verbose_trials=True)
         assert result.header == RATE_VS_N_HEADER
-        srr_row = [r for r in result.rows if r[1] == "srr"][0]
+        srr_row = [r for r in rows_of(result.table) if r[1] == "srr"][0]
         assert srr_row[0] == 8
-        assert len(result.trial_rows) == 6 * cfg.trials
-        assert [row[3] for row in result.trial_rows] == \
+        assert len(result.trial_table) == 6 * cfg.trials
+        assert [row[3] for row in rows_of(result.trial_table)] == \
             [trial_seed(cfg.master_seed, t) for t in range(cfg.trials)] * 6
 
     def test_oracle_check_schema_and_notes(self):
         cfg = small_config("oracle-check", n_values=[1, 2], trials=3)
         result = run_oracle_check(cfg)
         assert result.header == ORACLE_CHECK_HEADER
-        assert len(result.rows) == 2 * 3 * 6
+        assert len(result.table) == 2 * 3 * 6
         assert result.notes == ("max-asnr: 0 of 6 runs did not converge",)
-        for row in result.rows:
+        for row in rows_of(result.table):
             assert row[5] == pytest.approx(row[4] - row[3], abs=1e-12)
 
     def test_oracle_check_runs_max_asnr_once_per_draw(self, monkeypatch):
@@ -322,21 +330,32 @@ class TestSingleAndOracleRuns:
         assert calls == [1] * 5 + [2] * 5
 
 
+def _table(*blocks):
+    table = Table()
+    for lead, *columns in blocks:
+        table.add(lead, *columns)
+    return table
+
+
 class TestCsvFormatting:
     def test_twelve_significant_digits(self):
-        text = format_csv(("a", "b"), [(1, 0.12345678901234567), (2, 3.0)])
+        text = format_csv(("a", "b"), _table(((), [1, 2], [0.12345678901234567, 3.0])))
         assert text == "a,b\n1,0.123456789012\n2,3\n"
 
     def test_rerun_bytes_identical(self):
         cfg = small_config("rate-vs-n", n_values=[4])
-        a = format_csv(RATE_VS_N_HEADER, run_rate_vs_n(cfg).rows)
-        b = format_csv(RATE_VS_N_HEADER, run_rate_vs_n(cfg).rows)
+        a = format_csv(RATE_VS_N_HEADER, run_rate_vs_n(cfg).table)
+        b = format_csv(RATE_VS_N_HEADER, run_rate_vs_n(cfg).table)
         assert a == b
+
+    def test_columns_of_one_block_must_have_one_length(self):
+        with pytest.raises(ValueError, match=r"block \('k',\): columns must have one length"):
+            format_csv(("a", "b", "c"), _table((("k",), [1, 2], [0.5])))
 
 
 def _format_value(value) -> str:
-    # The writer's per-value rules before rows were rendered through cached
-    # templates: the oracle the writer must match byte for byte.
+    # The writer's rules applied one value at a time: the oracle that the
+    # block writer must match byte for byte.
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -353,20 +372,70 @@ def _oracle_csv(header, rows):
 
 
 class TestCsvWriterMatchesPerValueRules:
+    """``format_csv`` on a table equals the per-value oracle on the rows
+    the table holds, whatever the shape of its blocks."""
+
     VALUES = ["mrr", "", "a b", True, False, 0, -7, 2**70, 0.0, -0.0, 0.1, 1 / 3, -2.5e-300,
               1e300, float("nan"), float("inf"), -float("inf"), np.int32(-5),
               np.int64(2**62 + 1), np.uint64(2**64 - 1), np.float32(0.1), np.float32(-3e38),
               np.float64(2 / 3), np.float64(1e-320)]
 
+    @staticmethod
+    def _matches(header, table):
+        rows = rows_of(table)
+        assert format_csv(header, table) == _oracle_csv(header, rows)
+        return rows
+
     def test_every_value_type(self):
-        rows = [(v,) for v in self.VALUES] + [tuple(self.VALUES), tuple(self.VALUES[::-1])]
-        assert format_csv(("x",), rows) == _oracle_csv(("x",), rows)
+        # The mixed column goes value by value; each one-type column, one
+        # per value, goes through one %-conversion.
+        table = _table(((), self.VALUES), (tuple(self.VALUES),), (tuple(self.VALUES[::-1]),),
+                       *(((), [v, v, v]) for v in self.VALUES))
+        rows = rows_of(table)
+        assert rows[:len(self.VALUES) + 2] == \
+            [(v,) for v in self.VALUES] + [tuple(self.VALUES), tuple(self.VALUES[::-1])]
+        assert format_csv(("x",), table) == _oracle_csv(("x",), rows)
 
     def test_column_mixing_int_and_float(self):
         header = ("a", "b")
-        rows = [(1, 0.5), (2.5, 3), (np.int64(4), np.float32(1.5)), (True, 7.0), (1, 0.5)]
-        assert format_csv(header, rows) == _oracle_csv(header, rows) == \
+        table = _table(((), [1, 2.5, np.int64(4), True, 1], [0.5, 3, np.float32(1.5), 7.0, 0.5]))
+        assert format_csv(header, table) == _oracle_csv(header, rows_of(table)) == \
             "a,b\n1,0.5\n2.5,3\n4,1.5\n1,7\n1,0.5\n"
+
+    def test_column_mixing_int_float_bool_and_numpy_scalars(self):
+        mixed = [1, 2.5, True, np.int16(-3), np.uint8(200), np.float32(0.1), np.float64(1e-5),
+                 False, 2**64, np.float16(0.5)]
+        # The lead's "%" is text, not a conversion of the block's row template.
+        self._matches(("lead", "x", "y"), _table((("m%d%%",), mixed, mixed[::-1])))
+
+    def test_lead_only_blocks(self):
+        rows = self._matches(("a", "b", "c"), _table(((1, 0.5, "mrr"),), ((np.int64(2), 1e-9, ""),),
+                                                     ((True, np.float32(2.5), "srr"),)))
+        assert len(rows) == 3
+
+    def test_column_only_blocks(self):
+        rows = self._matches(("a", "b"), _table(((), [1, 2, 3], [0.5, 0.25, 1 / 3]),
+                                                ((), range(4), ["x", "y", "z", "w"])))
+        assert len(rows) == 7
+
+    @pytest.mark.parametrize("shared", [[7, 2**63, 0, 1], [7, 2**63, 0.5, True, "x"]])
+    def test_a_column_shared_by_blocks_is_rendered_once(self, monkeypatch, shared):
+        table = _table(*(((k,), shared, [0.25 * i for i in range(len(shared))])
+                         for k in (1, 2, 3)))
+        rendered = []
+        field = experiments._field
+        monkeypatch.setattr(experiments, "_field", lambda v: rendered.append(v) or field(v))
+        rows = self._matches(("k", "seed", "rate"), table)
+        assert len(rows) == 3 * len(shared)
+        # The three leads and each shared value once; the float column of
+        # each block takes one %-conversion.
+        assert sorted(map(repr, rendered)) == sorted(map(repr, [1, 2, 3, *shared]))
+
+    def test_zero_row_block(self):
+        table = _table((("k", 1), [], []), (("k", 2), [3], [0.5]), ((), range(0)))
+        assert len(table) == 1
+        assert self._matches(("a", "b", "c", "d"), table) == [("k", 2, 3, 0.5)]
+        assert format_csv(("a",), _table(((), []))) == "a\n"
 
     @pytest.mark.parametrize("scenario, extra", [
         ("convergence", {"n_values": [4, 16]}),
@@ -376,20 +445,25 @@ class TestCsvWriterMatchesPerValueRules:
         ("oracle-check", {"n_values": [1, 2], "trials": 2}),
     ])
     def test_rows_of_every_scenario(self, scenario, extra):
+        # At least two trials and two cells each, the trial logs included.
         from irsbeam.cli import _RUNNERS, _SUPPORTS_TRIAL_LOG
         cfg = small_config(scenario, **extra)
+        assert cfg.trials >= 2
         runner = _RUNNERS[cfg.scenario]
         result = (runner(cfg, verbose_trials=True) if cfg.scenario in _SUPPORTS_TRIAL_LOG
                   else runner(cfg))
-        tables = [(result.header, result.rows)]
-        if result.trial_rows is not None:
-            tables.append((result.trial_header, result.trial_rows))
-        for header, rows in tables:
-            assert rows
-            assert format_csv(header, rows) == _oracle_csv(header, rows)
+        tables = [(result.header, result.table)]
+        if result.trial_table is not None:
+            tables.append((result.trial_header, result.trial_table))
+        for header, table in tables:
+            rows = self._matches(header, table)
+            assert len(rows) == len(table) >= 2
+            assert all(len(row) == len(header) for row in rows)
 
     @pytest.mark.parametrize("bad", [None, object()])
     def test_unsupported_value_raises_naming_it(self, bad):
-        format_csv(("a", "b"), [(1, 2)])
-        with pytest.raises(TypeError, match=re.escape(f"cannot serialize {bad!r}")):
-            format_csv(("a", "b"), [(1, 2), (1, bad)])
+        format_csv(("a", "b"), _table(((1, 2),)))
+        for table in (_table(((1, 2),), ((1, bad),)), _table(((1,), [2, bad])),
+                      _table(((), [1, 1], [bad, bad]))):
+            with pytest.raises(TypeError, match=re.escape(f"cannot serialize {bad!r}")):
+                format_csv(("a", "b"), table)

@@ -40,6 +40,7 @@ from irsbeam import (  # noqa: E402
 from irsbeam.config import _ALLOWED_KEYS, parse_config  # noqa: E402
 from irsbeam.metrics import _norm  # noqa: E402
 
+from conftest import rows_of  # noqa: E402
 from grid_reference import grid_search_best_reference  # noqa: E402
 
 # Derandomized, and no example database, so every run checks the same cases
@@ -247,7 +248,7 @@ def test_accepted_power_levels_run_to_finite_outputs(levels, ref_loss_db, n, sce
         cfg = parse_config(json.dumps(doc), scenario=scenario)
     except ConfigError:
         return
-    rows = _RUNNERS[scenario](cfg).rows
+    rows = rows_of(_RUNNERS[scenario](cfg).table)
     assert np.isfinite([v for row in rows for v in row if isinstance(v, float)]).all()
 
 
