@@ -102,10 +102,6 @@ class Beamformer:
         """Full coefficient vector lam * p_normalized."""
         return self.lam * self.p_normalized
 
-    @property
-    def n_elements(self) -> int:
-        return self.p_normalized.shape[0]
-
 
 @dataclass(frozen=True)
 class TraceRecord:

@@ -26,7 +26,6 @@ from .system import ChannelRealization, SystemParams, sample_channels, \
 __all__ = [
     "ExperimentResult",
     "Table",
-    "build_beamformer",
     "monte_carlo_rates",
     "run_convergence",
     "run_srr_sweep",
@@ -106,14 +105,6 @@ def _design(method: Method, ch: ChannelRealization, params: SystemParams,
     raise ValueError(f"unsupported method {method!r}")
 
 
-def build_beamformer(method: Method, ch: ChannelRealization, params: SystemParams,
-                     k: int | None = None,
-                     solver: SolverOptions | None = None,
-                     phase_seed: int | None = None) -> Beamformer:
-    """Dispatch one beamformer design by method tag."""
-    return _design(method, ch, params, k, solver, phase_seed)[0]
-
-
 def _summary_cells(n: int) -> list[tuple[Method, int | None]]:
     """The (method, k) cells of the summary scenarios at ``n`` elements:
     every method, with ``srr`` on half the elements."""
@@ -130,6 +121,25 @@ def _channel_rate(method: Method, ch: ChannelRealization, params: SystemParams,
     return metrics.rate(metrics.snr(bf, ch, params)), converged
 
 
+@dataclass
+class _Naming:
+    """A context that re-raises any error inside it as a RuntimeError
+    naming the trial, and the method if one is given. It is a class, not a
+    ``contextlib.contextmanager``: it runs once per trial and design, and
+    the generator costs about three times as much per use."""
+
+    trial: int
+    method: Method | None = None
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, err, traceback) -> None:
+        if isinstance(err, Exception):
+            what = "" if self.method is None else f" for method {self.method.value}"
+            raise RuntimeError(f"trial {self.trial} failed{what}: {err}") from err
+
+
 def _trial_rates(method: Method, params: SystemParams, seeds: list[int], master_seed: int,
                  k: int | None, solver: SolverOptions | None) -> tuple[np.ndarray, int]:
     """Per-trial rates in trial order, and how many designs did not
@@ -138,11 +148,9 @@ def _trial_rates(method: Method, params: SystemParams, seeds: list[int], master_
         raise ValueError("trials must be >= 1")
 
     def one(t: int, seed: int) -> tuple[float, bool]:
-        try:
+        with _Naming(t, method):
             ch = sample_channels(params, seed)
             return _channel_rate(method, ch, params, master_seed, t, k, solver)
-        except Exception as err:
-            raise RuntimeError(f"trial {t} failed for method {method.value}: {err}") from err
 
     rates, converged = zip(*(one(t, seed) for t, seed in enumerate(seeds)))
     return np.array(rates), converged.count(False)
@@ -169,13 +177,14 @@ BLOCK_ENTRIES = 8192
 
 
 def _blocks(params: SystemParams, seeds: list[int]):
-    """Yield ``(start, block_seeds, (g, f, h))`` for consecutive blocks of
+    """Yield ``(trials, block_seeds, (g, f, h))`` for consecutive blocks of
     ``max(1, BLOCK_ENTRIES // N)`` trials, drawn with
-    ``sample_channels_batch``; ``start`` is the block's first trial index."""
+    ``sample_channels_batch``; ``trials`` holds the block's trial indices,
+    which the batch kernels name in their errors."""
     size = max(1, BLOCK_ENTRIES // params.n_elements)
     for start in range(0, len(seeds), size):
         block = seeds[start:start + size]
-        yield start, block, sample_channels_batch(params, block)
+        yield np.arange(start, start + len(block)), block, sample_channels_batch(params, block)
 
 
 def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
@@ -197,9 +206,8 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         seeds: list[int] = []
         iterations: list[int] = []
         records: list[tuple[float, float]] = []
-        for start, block, (g, f, h) in _blocks(params, all_seeds):
-            batch = max_asnr_batch(g, f, h, params, cfg.solver,
-                                   np.arange(start, start + len(block)))
+        for trials, block, (g, f, h) in _blocks(params, all_seeds):
+            batch = max_asnr_batch(g, f, h, params, cfg.solver, trials)
             for seed, trace in zip(block, batch.records):
                 seeds += [seed] * len(trace)
                 iterations += range(len(trace))
@@ -233,12 +241,12 @@ def run_srr_sweep(cfg: ExperimentConfig,
             for p_s_dbm, params in levels for method, k in cells]
     selections = {k for _, k in cells}
     parts: list[list[np.ndarray]] = [[] for _ in grid]
-    for _, _, (g, f, h) in _blocks(cfg.params_for(n), seeds):
-        designs = {k: srr_batch(g, f, h, k) for k in selections}
+    for trials, _, (g, f, h) in _blocks(cfg.params_for(n), seeds):
+        designs = {k: srr_batch(g, f, h, k, trials) for k in selections}
         for part, (_, params, _, k) in zip(parts, grid):
             design = designs[k]
             p = np.multiply(design.lam(params)[:, None], design.p_normalized)
-            part.append(metrics.rate_batch(p, g, f, h, params))
+            part.append(metrics.rate_batch(p, g, f, h, params, trials))
     table, log = Table(), Table()
     trial_column = range(cfg.trials)
     for part, (p_s_dbm, _, method, k) in zip(parts, grid):
@@ -306,12 +314,14 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
         rates: list[float] = []
         best: list[float] = []
         for t, seed in enumerate(seeds):
-            ch = sample_channels(params, seed)
-            best += [grid_search_best(ch, params, CHECK_PHASE_STEPS,
-                                      CHECK_AMPLITUDE_STEPS).best_rate_bits] * len(cells)
+            with _Naming(t):
+                ch = sample_channels(params, seed)
+                best += [grid_search_best(ch, params, CHECK_PHASE_STEPS,
+                                          CHECK_AMPLITUDE_STEPS).best_rate_bits] * len(cells)
             for method, k in cells:
-                r, converged = _channel_rate(method, ch, params, cfg.master_seed, t,
-                                             k, cfg.solver)
+                with _Naming(t, method):
+                    r, converged = _channel_rate(method, ch, params, cfg.master_seed, t,
+                                                 k, cfg.solver)
                 unconverged += not converged
                 rates.append(r)
         table.add((), [seed for seed in seeds for _ in cells], [n] * len(rates),
@@ -321,9 +331,11 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(ORACLE_CHECK_HEADER, table, notes=notes)
 
 
-def _conversion(value) -> str:
+def _conversion(value) -> str | None:
+    # None for a str subclass (an enum member, say): %s would call its own
+    # __str__ rather than give its string value.
     if isinstance(value, str):
-        return "%s"
+        return "%s" if type(value) is str else None
     if isinstance(value, (int, np.integer)):
         return "%d"
     if isinstance(value, (float, np.floating)):
@@ -332,20 +344,23 @@ def _conversion(value) -> str:
 
 
 def _field(value) -> str:
-    return _conversion(value) % value
+    conversion = _conversion(value)
+    return str.__str__(value) if conversion is None else conversion % value
 
 
 def format_csv(header: tuple[str, ...], table: Table) -> str:
     """Render a table with fixed column order, 12-significant-digit floats,
     and LF line endings, so identical results yield identical bytes.
 
-    Strings are written as they are, integers (bool and numpy integers
-    too) as decimal digits, floats (numpy floats too) with ``%.12g``; any
-    other value raises TypeError. Each block's lead is rendered once. A
-    column whose values share one type takes one %-conversion in the
-    block's row template, a column of mixed types is rendered value by
-    value, and a column object that several blocks share is rendered once
-    per call. Each block's rows are then filled in by one %-operation."""
+    Strings are written as their string value (str subclasses such as
+    enum members too), integers (bool and numpy integers too) as decimal
+    digits, floats (numpy floats too) with ``%.12g``; any other value
+    raises TypeError. Each block's lead is rendered once. A column whose
+    values share one type takes one %-conversion in the block's row
+    template, a column of mixed types or of a str subclass is rendered
+    value by value, and a column object that several blocks share is
+    rendered once per call. Each block's rows are then filled in by one
+    %-operation."""
     uses = Counter(id(column) for _, columns in table.blocks for column in columns)
     shared: dict[int, list[str]] = {}
     parts = [",".join(header) + "\n"]
@@ -365,8 +380,8 @@ def format_csv(header: tuple[str, ...], table: Table) -> str:
                     shared[id(column)] = [_field(v) for v in column]
                 conversions.append("%s")
                 values.append(shared[id(column)])
-            elif len(set(map(type, column))) == 1:
-                conversions.append(_conversion(column[0]))
+            elif len(set(map(type, column))) == 1 and (conversion := _conversion(column[0])):
+                conversions.append(conversion)
                 values.append(column)
             else:
                 conversions.append("%s")

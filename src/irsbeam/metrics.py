@@ -18,7 +18,6 @@ from .system import ChannelRealization, SystemParams
 
 __all__ = [
     "reflected_power",
-    "receive_power",
     "snr",
     "rate",
     "rate_batch",
@@ -57,25 +56,10 @@ def _reflected_sum(p: np.ndarray, ch: ChannelRealization) -> complex:
     return complex((np.conj(ch.f) * ch.g * p).sum())
 
 
-def _noise_power(p: np.ndarray, ch: ChannelRealization, params: SystemParams) -> float:
-    # sigma_I^2 p^H F F^H p + sigma_u^2
-    return float(
-        params.sigma_i_sq * (np.abs(ch.f * p) ** 2).sum() + params.sigma_u_sq
-    )
-
-
-def receive_power(bf_or_p, ch: ChannelRealization, params: SystemParams) -> float:
-    """Total power at the user (watts): signal through both paths plus
-    forwarded amplification noise plus receiver noise."""
-    p = _coefficients(bf_or_p)
-    signal = abs(ch.h.conjugate() + _reflected_sum(p, ch)) ** 2
-    return params.p_s * signal + _noise_power(p, ch, params)
-
-
 def snr(bf_or_p, ch: ChannelRealization, params: SystemParams) -> float:
     """P_S |h* + f^H G p|^2 / (sigma_I^2 p^H F F^H p + sigma_u^2)."""
     p = _coefficients(bf_or_p)
-    den = _noise_power(p, ch, params)
+    den = float(params.sigma_i_sq * (np.abs(ch.f * p) ** 2).sum() + params.sigma_u_sq)
     if den == 0.0:
         raise ZeroDivisionError("total noise power is zero")
     num = params.p_s * abs(ch.h.conjugate() + _reflected_sum(p, ch)) ** 2

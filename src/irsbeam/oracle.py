@@ -5,8 +5,8 @@ simplex-angle magnitude profile), scales each candidate to the power
 budget, and reports the best achievable rate. Used to bound how far the
 closed-form and iterative methods sit from the true optimum. The grid
 holds (phase_steps * amplitude_steps)^(N-1) candidates, so
-``grid_search_best`` takes N <= 3 on coarse grids and ``oracle-check``
-runs N <= 2 on its 256 x 64 grid.
+``grid_search_best`` takes N <= 2, which ``oracle-check`` runs on its
+256 x 64 grid.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ __all__ = [
     "sign_adjudicate",
 ]
 
-MAX_ORACLE_ELEMENTS = 3
-# The grid oracle-check runs, and the largest N it holds: at N = 3 it
-# would be (256 * 64)^2 = 268,435,456 candidates, and grid_search_best
-# peaks near 160 bytes per candidate (two element columns, the stacked
-# candidates and the per-candidate vectors): about 43 GB.
+# The grid oracle-check runs, and the largest N that it and grid_search_best
+# hold: at N = 3 it would be (256 * 64)^2 = 268,435,456 candidates, and
+# grid_search_best peaks near 160 bytes per candidate (two element columns,
+# the stacked candidates and the per-candidate vectors): about 43 GB.
 CHECK_PHASE_STEPS = 256
 CHECK_AMPLITUDE_STEPS = 64
 CHECK_MAX_ELEMENTS = 2
@@ -51,24 +50,18 @@ class Adjudication(str, enum.Enum):
 
 
 def _amplitude_profiles(n: int, amplitude_steps: int) -> np.ndarray:
-    """Unit-norm magnitude profiles on a simplex-angle grid, row-major in
-    the angle indices. N=1 has the single trivial profile."""
+    """Unit-norm magnitude profiles (cos t, sin t) on a grid of angles t in
+    [0, pi/2]. N=1 has the single trivial profile."""
     if n == 1:
         return np.ones((1, 1))
     t = np.linspace(0.0, math.pi / 2.0, amplitude_steps)
-    if n == 2:
-        return np.stack([np.cos(t), np.sin(t)], axis=1)
-    t1 = np.repeat(t, amplitude_steps)
-    t2 = np.tile(t, amplitude_steps)
-    return np.stack(
-        [np.cos(t1), np.sin(t1) * np.cos(t2), np.sin(t1) * np.sin(t2)], axis=1
-    )
+    return np.stack([np.cos(t), np.sin(t)], axis=1)
 
 
 def grid_search_best(ch: ChannelRealization, params: SystemParams,
                      phase_steps: int, amplitude_steps: int) -> OracleResult:
     """Best rate over the direction grid, each candidate scaled to the
-    power budget.
+    power budget, at N <= ``CHECK_MAX_ELEMENTS`` elements.
 
     Global-phase redundancy is removed by pinning element 1's phase to
     its product channel (making that contribution real positive) and
@@ -84,8 +77,8 @@ def grid_search_best(ch: ChannelRealization, params: SystemParams,
     are taken on one row and broadcast.
     """
     n = ch.n_elements
-    if n > MAX_ORACLE_ELEMENTS:
-        raise ValueError(f"grid search supports at most {MAX_ORACLE_ELEMENTS} elements")
+    if n > CHECK_MAX_ELEMENTS:
+        raise ValueError(f"grid search supports at most {CHECK_MAX_ELEMENTS} elements, got {n}")
     if phase_steps < 8:
         raise ValueError("phase_steps must be >= 8")
     if amplitude_steps < 4:
@@ -95,18 +88,14 @@ def grid_search_best(ch: ChannelRealization, params: SystemParams,
     n_amp = amps.shape[0]
     n_phase = phase_steps ** (n - 1)
 
-    # Phase factors per element: element 1's anchor, then for elements
-    # 2..N the grid's phases in candidate order, element 2 slowest. The
-    # anchor's angle comes from a numpy-scalar product and each power term
-    # below from an array product, as in the (candidates, N) form: numpy
-    # rounds the two kinds differently in the last bit.
+    # Phase factors per element: element 1's anchor, then element 2's grid
+    # phases in candidate order. The anchor's angle comes from a
+    # numpy-scalar product and each power term below from an array product,
+    # as in the (candidates, N) form: numpy rounds the two kinds differently
+    # in the last bit.
     anchor = np.exp(1j * np.full(1, np.angle(np.conj(ch.g[0]) * ch.f[0])))
     e = np.exp(1j * (2.0 * math.pi * np.arange(phase_steps) / phase_steps))
-    factors = [anchor]
-    if n == 2:
-        factors.append(e)
-    elif n == 3:
-        factors += [np.repeat(e, phase_steps), np.tile(e, phase_steps)]
+    factors = [anchor, e][:n]
     columns = [amps[None, :, k] * factors[k][:, None] for k in range(n)]
 
     def power(coupling: np.ndarray | None = None) -> np.ndarray:

@@ -20,8 +20,8 @@ from irsbeam import (
     SolverOptions,
     SystemParams,
     asnr_value,
-    build_beamformer,
     egr,
+    experiments,
     format_csv,
     grid_search_best,
     lambda_from_normalized,
@@ -310,12 +310,12 @@ def test_criterion_7_oracle_bound():
         ch2 = sample_channels(params2, trial_seed(MASTER_SEED, t))
         best2 = grid_search_best(ch2, params2, 256, 64)
         for method in Method:
-            bf = build_beamformer(
+            bf = experiments._design(
                 method, ch2, params2,
-                k=1 if method is Method.SRR else None,
-                solver=SolverOptions(),
-                phase_seed=trial_seed(MASTER_SEED, t, stream=1),
-            )
+                1 if method is Method.SRR else None,
+                SolverOptions(),
+                trial_seed(MASTER_SEED, t, stream=1),
+            )[0]
             r = metrics.rate(metrics.snr(bf, ch2, params2))
             max_exceed = max(max_exceed, r - best2.best_rate_bits)
             if method is Method.MAX_ASNR and best2.best_rate_bits - r <= 0.2:

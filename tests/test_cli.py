@@ -33,6 +33,14 @@ def test_single_is_rate_vs_n_at_the_same_n(tmp_path):
         (tmp_path / "rate.trials.csv").read_bytes()
 
 
+def test_trial_log_of_an_out_path_without_csv_suffix(tmp_path):
+    # The log goes to "<out>.trials.csv"; only a ".csv" suffix is replaced.
+    cfg = write_config(tmp_path, trials=2, n_values=[4])
+    out = tmp_path / "run.out"
+    assert main(["single", "--config", cfg, "--out", str(out), "--verbose-trials"]) == 0
+    assert out.exists() and (tmp_path / "run.out.trials.csv").exists()
+
+
 def test_single_writes_a_block_per_n_value(tmp_path):
     cfg = write_config(tmp_path, trials=2, n_values=[4, 8])
     out = tmp_path / "single.csv"

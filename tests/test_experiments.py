@@ -10,6 +10,7 @@ from irsbeam import (
     SystemParams,
     Table,
     dbm_to_watts,
+    egr,
     format_csv,
     max_asnr,
     monte_carlo_rates,
@@ -330,6 +331,59 @@ class TestSingleAndOracleRuns:
         assert calls == [1] * 5 + [2] * 5
 
 
+def _failing_on_call(fn, call):
+    """``fn``, except that call number ``call`` raises."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise ValueError("injected")
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+class TestErrorsNameTheTrial:
+    """Each runner's errors name the failing trial by its index in the
+    whole run, and a failing design also names its method."""
+
+    @pytest.mark.parametrize("scenario", ["srr-sweep", "convergence"])
+    def test_batched_runners_name_a_trial_past_the_first_block(self, monkeypatch, scenario):
+        # Blocks of 4 trials at N = 8: trial 6 is row 2 of the second block.
+        drawn = []
+
+        def zeroed(params, seeds):
+            g, f, h = sample_channels_batch(params, seeds)
+            if sum(drawn) <= 6 < sum(drawn) + len(seeds):
+                g[6 - sum(drawn)] = 0.0
+            drawn.append(len(seeds))
+            return g, f, h
+
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 32)
+        monkeypatch.setattr(experiments, "sample_channels_batch", zeroed)
+        cfg = small_config(scenario, n_values=[8], trials=10)
+        runner = run_srr_sweep if scenario == "srr-sweep" else run_convergence
+        with pytest.raises(ValueError,
+                           match="^trial 6: selected product channels are identically zero$"):
+            runner(cfg)
+        assert drawn == [4, 4]
+
+    @pytest.mark.parametrize("runner", [run_rate_vs_n, run_oracle_check])
+    def test_a_failing_design_names_its_trial_and_method(self, monkeypatch, runner):
+        monkeypatch.setattr(experiments, "egr", _failing_on_call(egr, 2))
+        cfg = small_config("rate-vs-n" if runner is run_rate_vs_n else "oracle-check",
+                           n_values=[1], trials=3)
+        with pytest.raises(RuntimeError, match="^trial 1 failed for method egr: injected$"):
+            runner(cfg)
+
+    @pytest.mark.parametrize("name", ["sample_channels", "grid_search_best"])
+    def test_oracle_check_names_the_trial_of_a_failing_draw_or_grid(self, monkeypatch, name):
+        monkeypatch.setattr(experiments, name, _failing_on_call(getattr(experiments, name), 2))
+        with pytest.raises(RuntimeError, match="^trial 1 failed: injected$"):
+            run_oracle_check(small_config("oracle-check", n_values=[1], trials=3))
+
+
 def _table(*blocks):
     table = Table()
     for lead, *columns in blocks:
@@ -378,7 +432,7 @@ class TestCsvWriterMatchesPerValueRules:
     VALUES = ["mrr", "", "a b", True, False, 0, -7, 2**70, 0.0, -0.0, 0.1, 1 / 3, -2.5e-300,
               1e300, float("nan"), float("inf"), -float("inf"), np.int32(-5),
               np.int64(2**62 + 1), np.uint64(2**64 - 1), np.float32(0.1), np.float32(-3e38),
-              np.float64(2 / 3), np.float64(1e-320)]
+              np.float64(2 / 3), np.float64(1e-320), Method.MRR]
 
     @staticmethod
     def _matches(header, table):
@@ -415,8 +469,9 @@ class TestCsvWriterMatchesPerValueRules:
 
     def test_column_only_blocks(self):
         rows = self._matches(("a", "b"), _table(((), [1, 2, 3], [0.5, 0.25, 1 / 3]),
-                                                ((), range(4), ["x", "y", "z", "w"])))
-        assert len(rows) == 7
+                                                ((), range(4), ["x", "y", "z", "w"]),
+                                                ((), range(6), list(Method))))
+        assert len(rows) == 13
 
     @pytest.mark.parametrize("shared", [[7, 2**63, 0, 1], [7, 2**63, 0.5, True, "x"]])
     def test_a_column_shared_by_blocks_is_rendered_once(self, monkeypatch, shared):

@@ -8,7 +8,6 @@ from irsbeam import (
     asnr_value,
     mrr,
     rate,
-    receive_power,
     reflected_power,
     snr,
 )
@@ -37,25 +36,6 @@ class TestReflectedPower:
         ch = random_channel(rng, 8)
         bf = mrr(ch, params)
         assert reflected_power(bf, ch, params) == pytest.approx(params.p_i, rel=1e-9)
-
-
-class TestReceivePower:
-    def test_direct_path_plus_noise(self):
-        params = make_params(n_elements=2, sigma_u_sq=0.1)
-        ch = channel([1.0, 1.0], [1.0, 1.0], 1.0)
-        assert receive_power(np.zeros(2, complex), ch, params) == pytest.approx(1.1, rel=1e-12)
-
-    def test_single_element_evaluation(self):
-        params = make_params(n_elements=1, sigma_i_sq=0.1, sigma_u_sq=0.1)
-        ch = channel([1.0], [1.0], 0.0)
-        assert receive_power(np.array([1.0 + 0j]), ch, params) == pytest.approx(1.2, rel=1e-12)
-
-    def test_noise_floor(self, rng):
-        params = make_params(n_elements=4)
-        for _ in range(20):
-            ch = random_channel(rng, 4)
-            p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            assert receive_power(p, ch, params) >= params.sigma_u_sq
 
 
 class TestSnr:
@@ -154,4 +134,3 @@ class TestLinkMetrics:
         snr_value = snr(bf, ch, params)
         assert rate(snr_value) == math.log2(1.0 + snr_value)
         assert reflected_power(bf, ch, params) == pytest.approx(params.p_i, rel=1e-9)
-        assert receive_power(bf, ch, params) >= params.sigma_u_sq
