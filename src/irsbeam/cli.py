@@ -73,12 +73,10 @@ def _trial_log_path(out_path: Path) -> Path:
     return out_path.with_name(out_path.name + ".trials.csv")
 
 
-def _write_result(result: ExperimentResult, cfg: ExperimentConfig) -> None:
-    out_path = Path(cfg.output_path or f"{cfg.scenario.value}.csv")
+def _write_result(result: ExperimentResult, out_path: Path, log_path: Path) -> None:
     out_path.write_text(format_csv(result.header, result.table))
     print(f"wrote {len(result.table)} rows to {out_path}")
     if result.trial_table is not None:
-        log_path = _trial_log_path(out_path)
         log_path.write_text(format_csv(result.trial_header, result.trial_table))
         print(f"wrote {len(result.trial_table)} per-trial rows to {log_path}")
     for note in result.notes:
@@ -90,14 +88,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args)
         scenario = cfg.scenario
+        if args.verbose_trials and scenario not in _SUPPORTS_TRIAL_LOG:
+            raise ConfigError(f"--verbose-trials: not used by the {scenario.value} scenario")
+        out_path = Path(cfg.output_path or f"{scenario.value}.csv")
+        log_path = _trial_log_path(out_path)
+        # Both are written only once every trial has run.
+        for path in (out_path, log_path) if args.verbose_trials else (out_path,):
+            if path.is_dir():
+                raise ConfigError(f"output_path: {str(path)!r} is a directory")
         runner = _RUNNERS[scenario]
         if scenario in _SUPPORTS_TRIAL_LOG:
             result = runner(cfg, verbose_trials=args.verbose_trials)
-        elif args.verbose_trials:
-            raise ConfigError(f"--verbose-trials: not used by the {scenario.value} scenario")
         else:
             result = runner(cfg)
-        _write_result(result, cfg)
+        _write_result(result, out_path, log_path)
         return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -149,8 +149,9 @@ def _path(key: str, value) -> str:
     _require(isinstance(value, str) and value != "", key,
              f"expected a non-empty string, got {value!r}")
     # The CSV and its trial log are written there once every trial has run.
-    parent = Path(value).parent
-    _require(parent.is_dir(), key, f"{str(parent)!r} is not an existing directory")
+    path = Path(value)
+    _require(path.parent.is_dir(), key, f"{str(path.parent)!r} is not an existing directory")
+    _require(not path.is_dir(), key, f"{value!r} is a directory")
     return value
 
 

@@ -35,6 +35,19 @@ CHECK_PHASE_STEPS = 256
 CHECK_AMPLITUDE_STEPS = 64
 CHECK_MAX_ELEMENTS = 2
 
+# The N = 2 screen keeps a phase row when its best closed-form SNR is at
+# least best - SCREEN_KEEP_BAND * (1 + best). The grid phases sum to zero,
+# so over a profile's phases |u + v e_k|^2 averages |u|^2 + |v|^2: no term
+# of any candidate's SNR exceeds the best SNR, and neither the screen nor
+# the exact chain loses digits to cancellation. Each is within a few tens
+# of ulps of the true SNR, relative to the best (measured below 3e-15).
+# Two SNRs give the same rate log2(1 + snr) only when their 1 + snr round
+# to within an ulp, 2.2e-16 * (1 + best). The band exceeds both by eight
+# orders of magnitude, so every candidate that ties the best rate lies in
+# a kept row. A band relative to the best SNR alone would not do: at SNRs
+# below about 1e-10, rates tie that differ in SNR by more than 1e-6.
+SCREEN_KEEP_BAND = 1e-6
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -58,6 +71,37 @@ def _amplitude_profiles(n: int, amplitude_steps: int) -> np.ndarray:
     return np.stack([np.cos(t), np.sin(t)], axis=1)
 
 
+def _screen_rows(ch: ChannelRealization, params: SystemParams, amps: np.ndarray,
+                 anchor: np.ndarray, e: np.ndarray, gauge) -> np.ndarray:
+    """Indices of the N = 2 phase rows that can hold the best rate.
+
+    Every candidate's SNR is scored in closed form, taking |e_k| = 1 as
+    exact. With c = conj(f) * g, a candidate's reflected sum is
+    h* + gauge * lam_j * (a_j0 * anchor * c_0 + a_j1 * e_k * c_1) = u_j + v_j e_k,
+    so its SNR is p_s (|u_j|^2 + |v_j|^2 + 2 Re(u_j conj(v_j e_k))) / den_j,
+    where lam_j and den_j depend on the profile j only. A row is kept when
+    its best score lies within ``SCREEN_KEEP_BAND`` of the best one; a
+    non-finite best keeps every row.
+    """
+    a_sq = amps ** 2
+    lam_sq = params.p_i / (params.p_s * (a_sq @ np.abs(ch.g) ** 2)
+                           + params.sigma_i_sq * a_sq.sum(axis=1))
+    den = params.sigma_u_sq + params.sigma_i_sq * lam_sq * (a_sq @ np.abs(ch.f) ** 2)
+    c = np.conj(ch.f) * ch.g
+    lam = np.sqrt(lam_sq)
+    u = ch.h.conjugate() + gauge * lam * amps[:, 0] * (anchor[0] * c[0])
+    v = gauge * lam * amps[:, 1] * c[1]
+    scale = params.p_s / den
+    cross = 2.0 * scale * (u * np.conj(v))
+    score = np.stack([e.real, e.imag], axis=1) @ np.stack([cross.real, cross.imag])
+    score += scale * (np.abs(u) ** 2 + np.abs(v) ** 2)
+    row_best = score.max(axis=1)
+    best = row_best.max()
+    if not np.isfinite(best):
+        return np.arange(e.shape[0])
+    return np.flatnonzero(row_best >= best - SCREEN_KEEP_BAND * (1.0 + best))
+
+
 def grid_search_best(ch: ChannelRealization, params: SystemParams,
                      phase_steps: int, amplitude_steps: int) -> OracleResult:
     """Best rate over the direction grid, each candidate scaled to the
@@ -70,11 +114,19 @@ def grid_search_best(ch: ChannelRealization, params: SystemParams,
     to the lexicographically smallest (phase indices, amplitude indices)
     tuple.
 
-    Candidates sit on a (phases, profiles) grid, phase index major. Each
-    element's coefficients form one contiguous column of that grid, and
-    the per-element power terms are summed left to right, element 1
-    first; element 1's column varies with the profile only, so its terms
-    are taken on one row and broadcast.
+    Candidates sit on a (phases, profiles) grid, phase index major. At
+    N = 2 every candidate is first scored in closed form (``_screen_rows``),
+    and the exact rates below are evaluated on the kept phase rows only;
+    N = 1 is the single row. Each element's coefficients form one
+    contiguous column of that grid, and the per-element power terms are
+    summed left to right, element 1 first; element 1's column varies with
+    the profile only, so its terms are taken on one row and broadcast.
+
+    A kept row's rates equal those of the full (candidates, N) form in
+    ``tests/grid_reference.py`` bit for bit as long as the reflected sum
+    ``q @ c`` rounds each row alike whatever the number of rows; that holds
+    for the OpenBLAS kernels numpy ships (scipy-openblas 0.3.31), and
+    ``tests/test_properties.py`` checks it.
     """
     n = ch.n_elements
     if n > CHECK_MAX_ELEMENTS:
@@ -86,16 +138,19 @@ def grid_search_best(ch: ChannelRealization, params: SystemParams,
 
     amps = _amplitude_profiles(n, amplitude_steps)
     n_amp = amps.shape[0]
-    n_phase = phase_steps ** (n - 1)
+    gauge = ch.h.conjugate() / abs(ch.h) if ch.h != 0 else 1.0
 
-    # Phase factors per element: element 1's anchor, then element 2's grid
-    # phases in candidate order. The anchor's angle comes from a
+    # Phase factors per element: element 1's anchor, then element 2's kept
+    # grid phases in candidate order. The anchor's angle comes from a
     # numpy-scalar product and each power term below from an array product,
     # as in the (candidates, N) form: numpy rounds the two kinds differently
     # in the last bit.
     anchor = np.exp(1j * np.full(1, np.angle(np.conj(ch.g[0]) * ch.f[0])))
-    e = np.exp(1j * (2.0 * math.pi * np.arange(phase_steps) / phase_steps))
-    factors = [anchor, e][:n]
+    factors = [anchor]
+    if n == 2:
+        e = np.exp(1j * (2.0 * math.pi * np.arange(phase_steps) / phase_steps))
+        factors.append(e[_screen_rows(ch, params, amps, anchor, e, gauge)])
+    n_phase = factors[-1].shape[0]
     columns = [amps[None, :, k] * factors[k][:, None] for k in range(n)]
 
     def power(coupling: np.ndarray | None = None) -> np.ndarray:
@@ -109,7 +164,6 @@ def grid_search_best(ch: ChannelRealization, params: SystemParams,
     for k, col in enumerate(columns):
         q[:, :, k] = col
     q = q.reshape(-1, n)
-    gauge = ch.h.conjugate() / abs(ch.h) if ch.h != 0 else 1.0
 
     lam_sq = params.p_i / (params.p_s * power(ch.g) + params.sigma_i_sq * power())
     lam = np.sqrt(lam_sq)
@@ -118,11 +172,13 @@ def grid_search_best(ch: ChannelRealization, params: SystemParams,
     den = params.sigma_u_sq + params.sigma_i_sq * lam_sq * power(ch.f)
     rates = np.log2(1.0 + num / den)
 
-    best = int(np.argmax(rates))  # first occurrence on ties
+    # Kept rows are in candidate order, and every candidate that ties the
+    # best rate lies in one, so the first maximum here is the grid's.
+    best = int(np.argmax(rates))
     return OracleResult(
         best_rate_bits=float(rates[best]),
         best_direction=gauge * q[best],
-        grid_points_evaluated=q.shape[0],
+        grid_points_evaluated=phase_steps ** (n - 1) * n_amp,
     )
 
 

@@ -236,20 +236,36 @@ def test_missing_config_file_exit_code(tmp_path):
     assert main(["single", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-def test_runtime_error_exit_code(tmp_path, capsys):
-    # The output path is an existing directory: the CSV cannot be written.
+def test_runtime_error_exit_code(tmp_path, capsys, monkeypatch):
+    # A trial fails after the config has been accepted.
     cfg = write_config(tmp_path, trials=2, n_values=[4])
-    assert main(["single", "--config", cfg, "--out", str(tmp_path)]) == 3
-    assert "error" in capsys.readouterr().err
+    from irsbeam import cli
+
+    def failing_trial(*args, **kwargs):
+        raise RuntimeError("trial 0 failed: injected")
+
+    monkeypatch.setitem(cli._RUNNERS, cli.Scenario.SINGLE, failing_trial)
+    out = tmp_path / "out.csv"
+    assert main(["single", "--config", cfg, "--out", str(out)]) == 3
+    assert "error: trial 0 failed: injected" in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("parent", ["no/such/dir", "config.json"])
+@pytest.mark.parametrize("out_name, directory", [
+    pytest.param("no/such/dir/sweep.csv", None, id="no/such/dir"),
+    pytest.param("config.json/sweep.csv", None, id="config.json"),
+    pytest.param("sweep.csv", "sweep.csv", id="csv-is-a-directory"),
+    pytest.param("sweep.csv", "sweep.trials.csv", id="trial-log-is-a-directory"),
+])
 @pytest.mark.parametrize("source", ["flag", "document"])
 def test_output_path_outside_an_existing_directory_is_a_config_error(tmp_path, capsys,
-                                                                     monkeypatch, parent,
-                                                                     source):
-    # A missing parent, or a file as parent, fails before any trial runs.
-    out = tmp_path / parent / "sweep.csv"
+                                                                     monkeypatch, out_name,
+                                                                     directory, source):
+    # A missing parent, a file as parent, or a directory where the CSV or
+    # its trial log goes fails before any trial runs.
+    out = tmp_path / out_name
+    if directory is not None:
+        (tmp_path / directory).mkdir()
     doc = {"trials": 2, "n_values": [8], "k_values": [4]}
     if source == "document":
         doc["output_path"] = str(out)
@@ -263,7 +279,8 @@ def test_output_path_outside_an_existing_directory_is_a_config_error(tmp_path, c
     argv = ["srr-sweep", "--config", cfg, "--verbose-trials"]
     assert main(argv + (["--out", str(out)] if source == "flag" else [])) == 2
     assert "config error: output_path: " in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    made = ["config.json"] + ([directory] if directory else [])
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(made)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

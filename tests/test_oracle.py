@@ -79,10 +79,13 @@ class TestGridSearch:
     def test_check_grid_equals_the_reference_bit_for_bit(self, n):
         # oracle-check's own grid, on draws of its default master seed.
         params = SystemParams.default(n)
-        for t in range(5):
+        for t in range(6):
             ch = sample_channels(params, trial_seed(12345, t))
             if t == 4:
                 ch = replace(ch, h=0j)
+            if t == 5:
+                # The last element's product is zero: at N = 2 every phase row ties.
+                ch = replace(ch, g=np.concatenate([ch.g[:-1], [0j]]))
             got = grid_search_best(ch, params, 256, 64)
             want = grid_search_best_reference(ch, params, 256, 64)
             assert got.best_rate_bits == want.best_rate_bits
@@ -123,16 +126,14 @@ class TestSignAdjudication:
         aligned = sum(o is Adjudication.ALIGNED_BETTER for o in outcomes)
         assert aligned >= 95
 
-    def test_reference_geometry_majority_is_reported(self):
+    def test_reference_geometry_never_prefers_the_literal_sign(self):
+        # The aligned design's reflected sum adds in phase with the direct
+        # path, so its negation never has the higher rate.
         params = SystemParams.default(2)
-        tally = {}
         for t in range(100):
             ch = sample_channels(params, trial_seed(9, t))
-            o = sign_adjudicate(aligned_design(ch, params), ch, params)
-            tally[o] = tally.get(o, 0) + 1
-        assert sum(tally.values()) == 100
-        majority = max(tally, key=tally.get)
-        assert majority in set(Adjudication)
+            verdict = sign_adjudicate(aligned_design(ch, params), ch, params)
+            assert verdict is not Adjudication.LITERAL_BETTER, t
 
     def test_negated_design_reverses_the_verdict(self):
         params = replace(SystemParams.default(2), pos_user=(10.0, 0.0), alpha_bu=2.0)
