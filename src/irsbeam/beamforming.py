@@ -17,6 +17,10 @@ P_I. Methods:
               it on a batch of draws, bit-identical to ``max_asnr`` row by
               row.
 * ``random_phase`` / ``passive_aligned`` - sanity baselines.
+
+``egr`` and ``passive_aligned`` are one-row calls of their batch kernels
+``egr_batch`` and ``passive_aligned_batch``, which design every row of a
+batch of draws at once.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "ConvergenceTrace",
     "lambda_from_normalized",
     "egr",
+    "egr_batch",
     "mrr",
     "srr",
     "MatchedBatch",
@@ -51,6 +56,7 @@ __all__ = [
     "max_asnr_batch",
     "random_phase",
     "passive_aligned",
+    "passive_aligned_batch",
 ]
 
 
@@ -169,14 +175,27 @@ def lambda_from_normalized(p_norm: np.ndarray, g: np.ndarray, params: SystemPara
 
 def egr(ch: ChannelRealization, params: SystemParams) -> Beamformer:
     """Equal-gain reflecting: p~(n) = exp(j arg(f(n) g(n)*)) / sqrt(N)."""
-    n = ch.n_elements
-    theta = np.angle(ch.f * np.conj(ch.g))
-    p_norm = np.exp(1j * theta) / math.sqrt(n)
-    lam = math.sqrt(
-        params.p_i * n
-        / (params.p_s * float((np.abs(ch.g) ** 2).sum()) + n * params.sigma_i_sq)
-    )
-    return Beamformer(p_norm, lam)
+    p_norm, lam = egr_batch(ch.g[None], ch.f[None], params)
+    return Beamformer(p_norm[0], float(lam[0]))
+
+
+def egr_batch(g: np.ndarray, f: np.ndarray, params: SystemParams,
+              trials: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``egr`` on the rows of (T, N) channels ``g`` and ``f`` at once: the
+    (T, N) unit directions and the (T,) budget-feasible scales
+    lam = sqrt(P_I N / (P_S sum|g|^2 + N sigma_I^2)). ``trials`` numbers
+    the rows in error messages (default: the row index). Complex products
+    are ``np.multiply`` calls in a fixed operand order, as in ``srr_batch``.
+    """
+    n = g.shape[1]
+    theta = np.angle(np.multiply(f, np.conj(g)))
+    p_norm = np.exp(np.multiply(1j, theta)) / math.sqrt(n)
+    _require_rows(np.abs(_row_norms(p_norm) - 1.0) <= 1e-12,
+                  "p_normalized must have unit 2-norm", trials)
+    lam = np.sqrt(params.p_i * n
+                  / (params.p_s * np.sum(np.abs(g) ** 2, axis=1) + n * params.sigma_i_sq))
+    _require_rows(lam > 0.0, "lam must be positive", trials)
+    return p_norm, lam
 
 
 def mrr(ch: ChannelRealization, params: SystemParams) -> Beamformer:
@@ -436,8 +455,21 @@ def passive_aligned(ch: ChannelRealization, params: SystemParams) -> Beamformer:
     """Phase-aligned passive reflection: every coefficient has unit modulus
     (no amplification), so lam = sqrt(N) instead of the power budget. The
     amplification-noise term still applies when this vector is evaluated."""
-    n = ch.n_elements
-    theta = np.angle(ch.f * np.conj(ch.g))
-    phi = cmath.phase(ch.h) if ch.h != 0 else 0.0
-    p_norm = np.exp(1j * (theta - phi)) / math.sqrt(n)
-    return Beamformer(p_norm, math.sqrt(n))
+    p_norm, lam = passive_aligned_batch(ch.g[None], ch.f[None], np.array([ch.h]))
+    return Beamformer(p_norm[0], float(lam[0]))
+
+
+def passive_aligned_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray,
+                          trials: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``passive_aligned`` on the rows of (T, N) channels ``g``, ``f`` and
+    (T,) direct channels ``h`` at once: the (T, N) unit directions
+    exp(j (arg(f g*) - arg h)) / sqrt(N), with arg 0 taken as 0, and the
+    (T,) scales sqrt(N). ``trials`` numbers the rows in error messages
+    (default: the row index)."""
+    t, n = g.shape
+    theta = np.angle(np.multiply(f, np.conj(g)))
+    phi = np.array([cmath.phase(x) if x != 0 else 0.0 for x in h.tolist()])
+    p_norm = np.exp(np.multiply(1j, theta - phi[:, None])) / math.sqrt(n)
+    _require_rows(np.abs(_row_norms(p_norm) - 1.0) <= 1e-12,
+                  "p_normalized must have unit 2-norm", trials)
+    return p_norm, np.full(t, math.sqrt(n))

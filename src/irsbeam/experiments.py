@@ -16,8 +16,8 @@ from itertools import chain
 import numpy as np
 
 from . import metrics
-from .beamforming import Beamformer, Method, SolverOptions, egr, max_asnr, max_asnr_batch, \
-    mrr, passive_aligned, random_phase, srr, srr_batch
+from .beamforming import Method, SolverOptions, egr_batch, max_asnr, max_asnr_batch, \
+    passive_aligned_batch, random_phase, srr_batch
 from .config import ExperimentConfig
 from .oracle import CHECK_AMPLITUDE_STEPS, CHECK_PHASE_STEPS, grid_search_best
 from .system import ChannelRealization, SystemParams, sample_channels, \
@@ -80,53 +80,22 @@ class ExperimentResult:
     notes: tuple[str, ...] = ()
 
 
-def _design(method: Method, ch: ChannelRealization, params: SystemParams,
-            k: int | None, solver: SolverOptions | None,
-            phase_seed: int | None) -> tuple[Beamformer, bool]:
-    """One beamformer design by method tag, and whether its iteration
-    converged (the closed-form designs always do)."""
-    if method is Method.EGR:
-        return egr(ch, params), True
-    if method is Method.MRR:
-        return mrr(ch, params), True
-    if method is Method.SRR:
-        if k is None:
-            raise ValueError("SRR requires a selection size k")
-        return srr(ch, params, k), True
-    if method is Method.MAX_ASNR:
-        bf, trace = max_asnr(ch, params, solver or SolverOptions())
-        return bf, trace.converged
-    if method is Method.RANDOM_PHASE:
-        if phase_seed is None:
-            raise ValueError("random-phase requires a seed")
-        return random_phase(ch, params, phase_seed), True
-    if method is Method.PASSIVE_ALIGNED:
-        return passive_aligned(ch, params), True
-    raise ValueError(f"unsupported method {method!r}")
-
-
 def _summary_cells(n: int) -> list[tuple[Method, int | None]]:
     """The (method, k) cells of the summary scenarios at ``n`` elements:
     every method, with ``srr`` on half the elements."""
     return [(m, max(1, n // 2) if m is Method.SRR else None) for m in RATE_VS_N_METHODS]
 
 
-def _channel_rate(method: Method, ch: ChannelRealization, params: SystemParams,
-                  master_seed: int, trial: int, k: int | None,
-                  solver: SolverOptions | None) -> tuple[float, bool]:
-    """Rate of one design on the channel already drawn for ``trial``, and
-    whether it converged."""
-    bf, converged = _design(method, ch, params, k, solver,
-                            trial_seed(master_seed, trial, stream=1))
-    return metrics.rate(metrics.snr(bf, ch, params)), converged
-
-
 @dataclass
 class _Naming:
     """A context that re-raises any error inside it as a RuntimeError
-    naming the trial, and the method if one is given. It is a class, not a
-    ``contextlib.contextmanager``: it runs once per trial and design, and
-    the generator costs about three times as much per use."""
+    naming the trial, and the method if one is given. An error that a
+    batch kernel raises for one of its rows carries that row's trial
+    (``metrics._require_rows``), which it names instead; so a context
+    around a kernel call names the block's first trial only for an error
+    tied to no row. It is a class, not a ``contextlib.contextmanager``: it
+    runs once per trial and design, and the generator costs about three
+    times as much per use."""
 
     trial: int
     method: Method | None = None
@@ -137,23 +106,118 @@ class _Naming:
     def __exit__(self, kind, err, traceback) -> None:
         if isinstance(err, Exception):
             what = "" if self.method is None else f" for method {self.method.value}"
-            raise RuntimeError(f"trial {self.trial} failed{what}: {err}") from err
+            trial, reason = getattr(err, "trial", self.trial), getattr(err, "reason", err)
+            raise RuntimeError(f"trial {trial} failed{what}: {reason}") from err
+
+
+# Channel entries (trials times elements) that the runners draw and design
+# at once: blocks of ``max(1, BLOCK_ENTRIES // N)`` trials, 128 at N = 64. A
+# block's arrays are a few times BLOCK_ENTRIES complex values, so memory
+# stays bounded at any N and trial count, and the per-block numpy dispatch
+# is spread over as many trials as that bound allows.
+BLOCK_ENTRIES = 8192
+
+
+def _blocks(n: int, seeds: list[int]):
+    """Yield ``(trials, block_seeds)`` for consecutive blocks of
+    ``max(1, BLOCK_ENTRIES // n)`` trials; ``trials`` holds the block's
+    trial indices, which the batch kernels name in their errors."""
+    size = max(1, BLOCK_ENTRIES // n)
+    for start in range(0, len(seeds), size):
+        block = seeds[start:start + size]
+        yield np.arange(start, start + len(block)), block
+
+
+@dataclass
+class _Block:
+    """A block of trials drawn one at a time: their indices in the run,
+    their draws, each one's stream-1 seed, and the draws stacked as (T, N)
+    ``g``, ``f`` and (T,) ``h``."""
+
+    trials: np.ndarray
+    channels: list[ChannelRealization]
+    phase_seeds: list[int]
+    g: np.ndarray = field(init=False)
+    f: np.ndarray = field(init=False)
+    h: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.g, self.f, self.h = (np.array([getattr(ch, name) for ch in self.channels])
+                                  for name in "gfh")
+
+
+def _block_rates(method: Method, k: int | None, block: _Block, params: SystemParams,
+                 solver: SolverOptions | None,
+                 max_asnr_per_trial: bool = False) -> tuple[np.ndarray, int]:
+    """One cell's rates on the trials of a block, in trial order, and how
+    many of its designs did not converge.
+
+    ``random_phase``, and ``max_asnr`` when ``max_asnr_per_trial`` is set,
+    are designed trial by trial; every other design is one batch kernel
+    call over the block, and every rate comes from one ``rate_batch``
+    call. Each rate equals ``rate(snr(design(ch), ch, params))`` bit for
+    bit."""
+    solver = solver or SolverOptions()
+    if method is Method.RANDOM_PHASE or (method is Method.MAX_ASNR and max_asnr_per_trial):
+        rows, missed = [], 0
+        for t, ch, seed in zip(block.trials.tolist(), block.channels, block.phase_seeds):
+            with _Naming(t, method):
+                if method is Method.RANDOM_PHASE:
+                    bf = random_phase(ch, params, seed)
+                else:
+                    bf, trace = max_asnr(ch, params, solver)
+                    missed += not trace.converged
+            rows.append(bf.p)
+        p = np.array(rows)
+    else:
+        g, f, h, trials = block.g, block.f, block.h, block.trials
+        missed = 0
+        with _Naming(int(trials[0]), method):
+            if method is Method.MAX_ASNR:
+                design = max_asnr_batch(g, f, h, params, solver, trials)
+                p_norm, lam = design.p_normalized, design.lam
+                missed = int(np.count_nonzero(~design.converged))
+            elif method is Method.MRR or method is Method.SRR:
+                if method is Method.SRR and k is None:
+                    raise ValueError("SRR requires a selection size k")
+                matched = srr_batch(g, f, h, g.shape[1] if method is Method.MRR else k, trials)
+                p_norm, lam = matched.p_normalized, matched.lam(params)
+            elif method is Method.EGR:
+                p_norm, lam = egr_batch(g, f, params, trials)
+            elif method is Method.PASSIVE_ALIGNED:
+                p_norm, lam = passive_aligned_batch(g, f, h, trials)
+            else:
+                raise ValueError(f"unsupported method {method!r}")
+            p = np.multiply(lam[:, None], p_norm)
+    with _Naming(int(block.trials[0]), method):
+        return metrics.rate_batch(p, block.g, block.f, block.h, params, block.trials), missed
 
 
 def _trial_rates(method: Method, params: SystemParams, seeds: list[int], master_seed: int,
                  k: int | None, solver: SolverOptions | None) -> tuple[np.ndarray, int]:
     """Per-trial rates in trial order, and how many designs did not
-    converge; trial t is drawn from ``seeds[t]``."""
+    converge; trial t is drawn from ``seeds[t]``, in blocks of
+    ``max(1, BLOCK_ENTRIES // N)`` trials (``_block_rates``)."""
     if not seeds:
         raise ValueError("trials must be >= 1")
-
-    def one(t: int, seed: int) -> tuple[float, bool]:
-        with _Naming(t, method):
-            ch = sample_channels(params, seed)
-            return _channel_rate(method, ch, params, master_seed, t, k, solver)
-
-    rates, converged = zip(*(one(t, seed) for t, seed in enumerate(seeds)))
-    return np.array(rates), converged.count(False)
+    parts, unconverged = [], 0
+    for trials, block_seeds in _blocks(params.n_elements, seeds):
+        channels, phase_seeds = [], []
+        for t, seed in zip(trials.tolist(), block_seeds):
+            # Each (trial, method) draws its own channel and mixes its own
+            # stream-1 seed, though the draws repeat across methods and
+            # only random_phase reads the seed; max_asnr runs trial by
+            # trial. bench/test_bench.py pins draws_per_trial == 6.0,
+            # phase_seed_use_ratio == 1/6 and max_asnr.calls == trials * |N|
+            # on rate_vs_n until ROADMAP item 1.
+            with _Naming(t, method):
+                channels.append(sample_channels(params, seed))
+                phase_seeds.append(trial_seed(master_seed, t, stream=1))
+        rates, missed = _block_rates(method, k, _Block(trials, channels, phase_seeds), params,
+                                     solver, max_asnr_per_trial=True)
+        parts.append(rates)
+        unconverged += missed
+    return np.concatenate(parts), unconverged
 
 
 def monte_carlo_rates(method: Method, params: SystemParams, trials: int,
@@ -166,25 +230,6 @@ def monte_carlo_rates(method: Method, params: SystemParams, trials: int,
 
 def _unconverged_note(unconverged: int, runs: int) -> str:
     return f"max-asnr: {unconverged} of {runs} runs did not converge"
-
-
-# Channel entries (trials times elements) that the batched runners draw
-# and design at once: blocks of ``max(1, BLOCK_ENTRIES // N)`` trials, 128
-# at N = 64. A block's arrays are a few times BLOCK_ENTRIES complex values,
-# so memory stays bounded at any N and trial count, and the per-block numpy
-# dispatch is spread over as many trials as that bound allows.
-BLOCK_ENTRIES = 8192
-
-
-def _blocks(params: SystemParams, seeds: list[int]):
-    """Yield ``(trials, block_seeds, (g, f, h))`` for consecutive blocks of
-    ``max(1, BLOCK_ENTRIES // N)`` trials, drawn with
-    ``sample_channels_batch``; ``trials`` holds the block's trial indices,
-    which the batch kernels name in their errors."""
-    size = max(1, BLOCK_ENTRIES // params.n_elements)
-    for start in range(0, len(seeds), size):
-        block = seeds[start:start + size]
-        yield np.arange(start, start + len(block)), block, sample_channels_batch(params, block)
 
 
 def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
@@ -206,7 +251,8 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         seeds: list[int] = []
         iterations: list[int] = []
         records: list[tuple[float, float]] = []
-        for trials, block, (g, f, h) in _blocks(params, all_seeds):
+        for trials, block in _blocks(n, all_seeds):
+            g, f, h = sample_channels_batch(params, block)
             batch = max_asnr_batch(g, f, h, params, cfg.solver, trials)
             for seed, trace in zip(block, batch.records):
                 seeds += [seed] * len(trace)
@@ -226,7 +272,8 @@ def run_srr_sweep(cfg: ExperimentConfig,
     Each trial is seeded and drawn once for the whole sweep (the draw does
     not depend on P_S), in blocks of ``max(1, BLOCK_ENTRIES // N)``
     (``_blocks``). Each block designs every k once and evaluates every
-    (P_S, cell) as array operations that equal ``srr``/``mrr`` ->
+    (P_S, k) once, the ``mrr`` row sharing the rates of k = N, as array
+    operations that equal ``srr``/``mrr`` ->
     ``metrics.snr`` -> ``metrics.rate`` trial by trial, bit for bit. Each
     cell's rates are joined in trial order before its mean and std; so
     beside one rate per trial and cell, memory stays bounded at any trial
@@ -236,24 +283,29 @@ def run_srr_sweep(cfg: ExperimentConfig,
     n = cfg.n_values[0]
     seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
     cells = [(Method.SRR, k) for k in cfg.k_values] + [(Method.MRR, n)]
-    levels = [(p_s_dbm, cfg.params_for(n, p_s_dbm=p_s_dbm)) for p_s_dbm in cfg.p_s_dbm_values]
-    grid = [(p_s_dbm, params, method.value, k)
-            for p_s_dbm, params in levels for method, k in cells]
+    levels = [cfg.params_for(n, p_s_dbm=p_s_dbm) for p_s_dbm in cfg.p_s_dbm_values]
+    # The rates of one (P_S level, k) serve every row with that k: the
+    # mrr row is srr at k = N on the same draws.
+    parts: dict[tuple[int, int], list[np.ndarray]] = {
+        (level, k): [] for level in range(len(levels)) for _, k in cells}
     selections = {k for _, k in cells}
-    parts: list[list[np.ndarray]] = [[] for _ in grid]
-    for trials, _, (g, f, h) in _blocks(cfg.params_for(n), seeds):
+    draw_params = cfg.params_for(n)
+    for trials, block in _blocks(n, seeds):
+        g, f, h = sample_channels_batch(draw_params, block)
         designs = {k: srr_batch(g, f, h, k, trials) for k in selections}
-        for part, (_, params, _, k) in zip(parts, grid):
-            design = designs[k]
+        for (level, k), part in parts.items():
+            params, design = levels[level], designs[k]
             p = np.multiply(design.lam(params)[:, None], design.p_normalized)
             part.append(metrics.rate_batch(p, g, f, h, params, trials))
     table, log = Table(), Table()
     trial_column = range(cfg.trials)
-    for part, (p_s_dbm, _, method, k) in zip(parts, grid):
-        rates = np.concatenate(part)
-        table.add((k, p_s_dbm, method, float(np.mean(rates)), _sample_std(rates), cfg.trials))
-        if verbose_trials:
-            log.add((k, p_s_dbm, method), trial_column, seeds, rates.tolist())
+    for level, p_s_dbm in enumerate(cfg.p_s_dbm_values):
+        for method, k in cells:
+            rates = np.concatenate(parts[level, k])
+            table.add((k, p_s_dbm, method.value, float(np.mean(rates)), _sample_std(rates),
+                       cfg.trials))
+            if verbose_trials:
+                log.add((k, p_s_dbm, method.value), trial_column, seeds, rates.tolist())
     return ExperimentResult(
         SRR_SWEEP_HEADER, table,
         trial_header=("k", "p_s_dbm", "method", "trial", "seed", "rate_bits")
@@ -304,7 +356,12 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
     """Compare every method against the brute-force grid optimum at small
     element counts. The rows of each N are one block of six columns,
     trial-major. A note counts the ``max_asnr`` design runs that hit
-    ``max_iterations``."""
+    ``max_iterations``.
+
+    Trials run in blocks of ``max(1, BLOCK_ENTRIES // N)``. Each trial is
+    drawn and grid-searched on its own; then each cell is designed on the
+    whole block, ``max_asnr`` with ``max_asnr_batch``, and its rates come
+    from one ``rate_batch`` call (``_block_rates``)."""
     table = Table()
     unconverged = 0
     seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
@@ -313,17 +370,28 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
         cells = _summary_cells(n)
         rates: list[float] = []
         best: list[float] = []
-        for t, seed in enumerate(seeds):
-            with _Naming(t):
-                ch = sample_channels(params, seed)
-                best += [grid_search_best(ch, params, CHECK_PHASE_STEPS,
-                                          CHECK_AMPLITUDE_STEPS).best_rate_bits] * len(cells)
+        for trials, block_seeds in _blocks(n, seeds):
+            channels, phase_seeds = [], []
+            for t, seed in zip(trials.tolist(), block_seeds):
+                # One scalar draw and one grid search per (trial, N), and one
+                # stream-1 seed per (trial, method) of which random_phase
+                # reads one: bench/test_bench.py pins draws_per_trial == 1.0,
+                # oracle.grid_points and phase_seed_use_ratio == 1/6 on
+                # oracle_check until ROADMAP item 1.
+                with _Naming(t):
+                    ch = sample_channels(params, seed)
+                    best += [grid_search_best(ch, params, CHECK_PHASE_STEPS,
+                                              CHECK_AMPLITUDE_STEPS).best_rate_bits] * len(cells)
+                    phase_seeds.append(
+                        [trial_seed(cfg.master_seed, t, stream=1) for _ in cells][0])
+                channels.append(ch)
+            block = _Block(trials, channels, phase_seeds)
+            columns = []
             for method, k in cells:
-                with _Naming(t, method):
-                    r, converged = _channel_rate(method, ch, params, cfg.master_seed, t,
-                                                 k, cfg.solver)
-                unconverged += not converged
-                rates.append(r)
+                column, missed = _block_rates(method, k, block, params, cfg.solver)
+                columns.append(column)
+                unconverged += missed
+            rates += np.stack(columns, axis=1).ravel().tolist()
         table.add((), [seed for seed in seeds for _ in cells], [n] * len(rates),
                   [method.value for method, _ in cells] * len(seeds), rates, best,
                   [b - r for b, r in zip(best, rates)])

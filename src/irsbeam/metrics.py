@@ -75,10 +75,14 @@ def rate(snr_value: float) -> float:
 
 def _require_rows(ok: np.ndarray, message: str, trials: np.ndarray | None = None,
                   error: type[Exception] = ValueError) -> None:
-    # Raise naming the first failing row, by its number in ``trials``.
+    # Raise naming the first failing row, by its number in ``trials``; the
+    # error carries that number as ``trial`` and the message as ``reason``.
     if not ok.all():
         row = int(np.argmin(ok))
-        raise error(f"trial {row if trials is None else int(trials[row])}: {message}")
+        trial = row if trials is None else int(trials[row])
+        err = error(f"trial {trial}: {message}")
+        err.trial, err.reason = trial, message
+        raise err
 
 
 def rate_batch(p: np.ndarray, g: np.ndarray, f: np.ndarray, h: np.ndarray,

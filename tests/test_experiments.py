@@ -6,13 +6,16 @@ import pytest
 
 from irsbeam import (
     Method,
+    OracleResult,
     SolverOptions,
     SystemParams,
     Table,
     dbm_to_watts,
-    egr,
+    egr_batch,
     format_csv,
+    grid_search_best,
     max_asnr,
+    max_asnr_batch,
     monte_carlo_rates,
     parse_config,
     run_convergence,
@@ -31,6 +34,7 @@ from irsbeam import (
     trial_seed,
 )
 from irsbeam import experiments
+from irsbeam.metrics import _require_rows
 from irsbeam.experiments import (
     CONVERGENCE_HEADER,
     ORACLE_CHECK_HEADER,
@@ -38,6 +42,7 @@ from irsbeam.experiments import (
     SRR_SWEEP_HEADER,
 )
 
+import reference
 from conftest import rows_of
 
 
@@ -56,9 +61,55 @@ class TestMonteCarlo:
         assert rows_of(run_rate_vs_n(cfg).table)[1] == (8, "mrr", rates[0], 0.0, 1)
 
     def test_trial_failure_carries_index(self):
+        # k out of range is tied to no row of the block, so the error names
+        # the block's first trial.
         params = SystemParams.default(4)
-        with pytest.raises(RuntimeError, match="trial 0"):
+        with pytest.raises(RuntimeError,
+                           match=r"^trial 0 failed for method srr: k must be in \[1, 4\], got 99$"):
             monte_carlo_rates(Method.SRR, params, 2, 9, k=99)
+
+
+def _scalar_rate(method, params, master_seed, t, k, solver=None):
+    """Rate of one (method, trial) through the scalar path, with the
+    reference bodies of ``egr`` and ``passive_aligned``."""
+    ch = sample_channels(params, trial_seed(master_seed, t))
+    bf = reference.design(method, ch, params, k, solver,
+                          trial_seed(master_seed, t, stream=1))
+    return rate(snr(bf, ch, params))
+
+
+class TestFullPrecision:
+    """Every rate equals the scalar ``rate(snr(design(ch)))`` bit for bit
+    (``==`` on float64), on trials that straddle block edges; the golden
+    digests carry 12 significant digits and cannot see a last-bit change."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    def test_monte_carlo_rates_equal_scalar_rates(self, monkeypatch, n):
+        # Blocks of 3 trials: 7 trials end on a ragged block of one.
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 3 * n)
+        trials, master_seed = 7, 2024
+        params = SystemParams.default(n)
+        for method in Method:
+            k = max(1, n // 2) if method is Method.SRR else None
+            rates = monte_carlo_rates(method, params, trials, master_seed, k)
+            assert rates.tolist() == [_scalar_rate(method, params, master_seed, t, k)
+                                      for t in range(trials)], method
+
+    def test_oracle_check_columns_equal_scalar_rates(self, monkeypatch):
+        # Blocks of 3 trials at N = 1 and of 1 at N = 2.
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 3)
+        cfg = small_config("oracle-check", n_values=[1, 2], trials=7)
+        rows = rows_of(run_oracle_check(cfg).table)
+        assert len(rows) == 2 * cfg.trials * len(Method)
+        for i, (seed, n, method, rate_bits, best_rate_bits, gap_bits) in enumerate(rows):
+            t = i // len(Method) % cfg.trials
+            params = cfg.params_for(n)
+            assert seed == trial_seed(cfg.master_seed, t)
+            assert rate_bits == _scalar_rate(Method(method), params, cfg.master_seed, t,
+                                             max(1, n // 2), cfg.solver)
+            best = grid_search_best(sample_channels(params, seed), params, 256, 64)
+            assert best_rate_bits == best.best_rate_bits
+            assert gap_bits == best_rate_bits - rate_bits
 
 
 class TestConvergenceRun:
@@ -211,6 +262,30 @@ class TestSrrBatch:
         with pytest.raises(ValueError, match="trial 2: channel entries must be finite"):
             srr_batch(g, f, h, 2)
 
+    def test_sweep_evaluates_each_power_and_k_once(self, monkeypatch):
+        # k = 8 = N: the srr k = 8 row and the mrr row share one rate_batch
+        # call per P_S level and block, and their rates are equal bit for bit.
+        from irsbeam import metrics
+        evaluate, calls = metrics.rate_batch, []
+
+        def counted(p, g, f, h, params, trials=None):
+            calls.append((params.p_s, len(p)))
+            return evaluate(p, g, f, h, params, trials)
+
+        monkeypatch.setattr(metrics, "rate_batch", counted)
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 32)
+        cfg = small_config("srr-sweep", n_values=[8], k_values=[2, 8],
+                           p_s_dbm_values=[0.0, 15.0], trials=6)
+        result = run_srr_sweep(cfg, verbose_trials=True)
+        # Blocks of 4 and 2 trials, two k and two P_S levels in each.
+        assert [rows for _, rows in calls] == [4] * 4 + [2] * 4
+        assert len({p_s for p_s, _ in calls}) == 2
+        log = rows_of(result.trial_table)
+        for p_s_dbm in (0.0, 15.0):
+            srr_rates = [r[5] for r in log if r[:3] == (8, p_s_dbm, "srr")]
+            mrr_rates = [r[5] for r in log if r[:3] == (8, p_s_dbm, "mrr")]
+            assert len(srr_rates) == cfg.trials and srr_rates == mrr_rates
+
     def test_sweep_draws_each_trial_once(self, monkeypatch):
         calls = []
 
@@ -253,21 +328,42 @@ class TestMemoryBound:
                            p_s_dbm_values=[15.0], trials=20000)
         assert self._peak_mb(run_srr_sweep, cfg) < 16
 
+    def test_rate_vs_n_at_large_n(self):
+        # One trial per block: 12 MB measured, the scalar max_asnr's iterates
+        # included; the 4 trials stacked in one block peaked at 37 MB.
+        cfg = small_config("rate-vs-n", n_values=[65536], trials=4)
+        assert self._peak_mb(run_rate_vs_n, cfg) < 20
+
+    def test_oracle_check_at_many_trials(self, monkeypatch):
+        # Blocks of 8192 trials at N = 1: 17 MB measured, 13 MB of it the
+        # 120,000 output rows; the 20000 trials in one block peaked at 29 MB.
+        # The grid search runs one trial at a time and keeps one float of
+        # it, so a stub stands in for it and halves the test's time.
+        found = OracleResult(0.0, np.ones(1), 1)
+        monkeypatch.setattr(experiments, "grid_search_best", lambda *args: found)
+        cfg = small_config("oracle-check", n_values=[1], trials=20000)
+        assert self._peak_mb(run_oracle_check, cfg) < 22
+
 
 class TestRateVsNRun:
     def test_snr_is_evaluated_once_per_design(self, monkeypatch):
-        # The runner never reads max_asnr's trace records, so their
-        # per-iteration rates are never computed.
+        # Each cell's rates come from one rate_batch call per block, one row
+        # per design. No scalar snr or rate call is made, so max_asnr's
+        # trace records, whose rates would need them, are never computed.
         from irsbeam import metrics
-        evaluate, calls = metrics.snr, []
+        evaluate, calls = metrics.rate_batch, []
 
-        def counted(bf, ch, params):
-            calls.append(ch.n_elements)
-            return evaluate(bf, ch, params)
+        def counted(p, g, f, h, params, trials=None):
+            calls.append((params.n_elements, len(p)))
+            return evaluate(p, g, f, h, params, trials)
 
-        monkeypatch.setattr(metrics, "snr", counted)
-        run_rate_vs_n(small_config("rate-vs-n", n_values=[4, 8], trials=3))
-        assert calls == [4] * (6 * 3) + [8] * (6 * 3)
+        monkeypatch.setattr(metrics, "rate_batch", counted)
+        monkeypatch.setattr(metrics, "snr", _refused)
+        monkeypatch.setattr(metrics, "rate", _refused)
+        # Blocks of 4 trials at N = 4 and of 2 at N = 8.
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 16)
+        run_rate_vs_n(small_config("rate-vs-n", n_values=[4, 8], trials=5))
+        assert calls == [(4, 4), (4, 1)] * 6 + [(8, 2), (8, 2), (8, 1)] * 6
 
     def test_schema_and_method_order(self):
         cfg = small_config("rate-vs-n", n_values=[4, 8])
@@ -320,15 +416,25 @@ class TestSingleAndOracleRuns:
             assert row[5] == pytest.approx(row[4] - row[3], abs=1e-12)
 
     def test_oracle_check_runs_max_asnr_once_per_draw(self, monkeypatch):
+        # max_asnr_batch runs once per block, over all of its rows; the
+        # scalar max_asnr never runs.
         calls = []
 
-        def counted(ch, params, opts):
-            calls.append(ch.n_elements)
-            return max_asnr(ch, params, opts)
+        def counted(g, f, h, params, opts, trials):
+            calls.append((g.shape, trials.tolist()))
+            return max_asnr_batch(g, f, h, params, opts, trials)
 
-        monkeypatch.setattr(experiments, "max_asnr", counted)
+        monkeypatch.setattr(experiments, "max_asnr_batch", counted)
+        monkeypatch.setattr(experiments, "max_asnr", _refused)
+        # Blocks of 4 trials at N = 1 and of 2 at N = 2.
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 4)
         run_oracle_check(small_config("oracle-check", n_values=[1, 2], trials=5))
-        assert calls == [1] * 5 + [2] * 5
+        assert calls == [((4, 1), [0, 1, 2, 3]), ((1, 1), [4]),
+                         ((2, 2), [0, 1]), ((2, 2), [2, 3]), ((1, 2), [4])]
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("this call must not be made")
 
 
 def _failing_on_call(fn, call):
@@ -371,10 +477,17 @@ class TestErrorsNameTheTrial:
 
     @pytest.mark.parametrize("runner", [run_rate_vs_n, run_oracle_check])
     def test_a_failing_design_names_its_trial_and_method(self, monkeypatch, runner):
-        monkeypatch.setattr(experiments, "egr", _failing_on_call(egr, 2))
+        # Blocks of 2 trials at N = 1: trial 3 is row 1 of the second block,
+        # and the kernel's row error names it as the kernels' checks do.
+        def failing(g, f, params, trials):
+            _require_rows(trials != 3, "injected", trials)
+            return egr_batch(g, f, params, trials)
+
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 2)
+        monkeypatch.setattr(experiments, "egr_batch", failing)
         cfg = small_config("rate-vs-n" if runner is run_rate_vs_n else "oracle-check",
-                           n_values=[1], trials=3)
-        with pytest.raises(RuntimeError, match="^trial 1 failed for method egr: injected$"):
+                           n_values=[1], trials=5)
+        with pytest.raises(RuntimeError, match="^trial 3 failed for method egr: injected$"):
             runner(cfg)
 
     @pytest.mark.parametrize("name", ["sample_channels", "grid_search_best"])

@@ -11,7 +11,6 @@ from irsbeam import (
     Method,
     SolverOptions,
     SystemParams,
-    experiments,
     grid_search_best,
     max_asnr,
     metrics,
@@ -22,6 +21,7 @@ from irsbeam import (
     trial_seed,
 )
 
+import reference
 from conftest import make_params
 from grid_reference import grid_search_best_reference
 
@@ -29,8 +29,8 @@ from grid_reference import grid_search_best_reference
 def method_rates(ch, params, k):
     out = {}
     for method in Method:
-        bf = experiments._design(method, ch, params, k if method is Method.SRR else None,
-                                 SolverOptions(), 11)[0]
+        bf = reference.design(method, ch, params, k if method is Method.SRR else None,
+                              SolverOptions(), 11)
         out[method.value] = metrics.rate(metrics.snr(bf, ch, params))
     return out
 

@@ -19,11 +19,13 @@ from irsbeam import (  # noqa: E402
     SystemParams,
     dbm_to_watts,
     egr,
+    egr_batch,
     grid_search_best,
     max_asnr,
     max_asnr_batch,
     mrr,
     passive_aligned,
+    passive_aligned_batch,
     random_phase,
     reflected_power,
     run_convergence,
@@ -40,6 +42,7 @@ from irsbeam import (  # noqa: E402
 from irsbeam.config import _ALLOWED_KEYS, parse_config  # noqa: E402
 from irsbeam.metrics import _norm  # noqa: E402
 
+import reference  # noqa: E402
 from conftest import rows_of  # noqa: E402
 from grid_reference import grid_search_best_reference  # noqa: E402
 
@@ -68,6 +71,36 @@ def test_max_asnr_batch_equals_scalar_and_meets_budget(master_seed, n, trials, p
         assert batch.lam[t] == bf.lam
         p = batch.lam[t] * batch.p_normalized[t]
         assert abs(reflected_power(p, ch, params) / params.p_i - 1.0) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(master_seed=st.integers(0, 2**64 - 1), n=st.one_of(st.just(1), st.integers(1, 64)),
+       direct=st.lists(st.sampled_from(["drawn", 0j, complex(-0.0, 0.0)]), min_size=1,
+                       max_size=5),
+       p_s_dbm=st.floats(-20.0, 40.0), p_i_dbm=st.floats(-20.0, 40.0))
+def test_egr_and_passive_aligned_batches_equal_the_scalar_reference(master_seed, n, direct,
+                                                                     p_s_dbm, p_i_dbm):
+    """Row by row, bit for bit; a row's h may be 0 or -0, on which
+    ``cmath.phase`` would give pi."""
+    params = replace(SystemParams.default(n), p_s=dbm_to_watts(p_s_dbm),
+                     p_i=dbm_to_watts(p_i_dbm))
+    g, f, h = sample_channels_batch(
+        params, [trial_seed(master_seed, t) for t in range(len(direct))])
+    for t, value in enumerate(direct):
+        if value != "drawn":
+            h[t] = value
+    batches = {reference.egr: egr_batch(g, f, params),
+               reference.passive_aligned: passive_aligned_batch(g, f, h)}
+    for t in range(len(direct)):
+        ch = ChannelRealization(g=g[t], f=f[t], h=complex(h[t]))
+        for design, (p_norm, lam) in batches.items():
+            expected = design(ch, params)
+            assert p_norm[t].tobytes() == expected.p_normalized.tobytes()
+            assert lam[t].tobytes() == np.float64(expected.lam).tobytes()
+        for design, public in ((reference.egr, egr), (reference.passive_aligned, passive_aligned)):
+            expected, bf = design(ch, params), public(ch, params)
+            assert bf.p_normalized.tobytes() == expected.p_normalized.tobytes()
+            assert bf.lam == expected.lam
 
 
 # Seeds at both ends of the one- and two-word entropy ranges.
