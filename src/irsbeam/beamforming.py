@@ -8,9 +8,7 @@ P_I. Methods:
 * ``egr``   - equal gain on all elements, phases align the reflected paths.
 * ``mrr``   - amplitude-and-phase matched to the product channel g* o f,
               rotated onto the direct path.
-* ``srr``   - MRR restricted to the K strongest product channels;
-              ``srr_batch`` designs it on a whole batch of draws at once,
-              bit-identical to ``srr`` row by row.
+* ``srr``   - MRR restricted to the K strongest product channels.
 * ``max_asnr`` - alternating iteration between the noise-whitened matched
               direction (for the current scale) and the budget-feasible
               scale (for the current direction); ``max_asnr_batch`` runs
@@ -18,9 +16,10 @@ P_I. Methods:
               row.
 * ``random_phase`` / ``passive_aligned`` - sanity baselines.
 
-``egr`` and ``passive_aligned`` are one-row calls of their batch kernels
-``egr_batch`` and ``passive_aligned_batch``, which design every row of a
-batch of draws at once.
+``egr``, ``srr`` and ``passive_aligned`` are one-row calls of their batch
+kernels ``egr_batch``, ``srr_batch`` and ``passive_aligned_batch``, which
+design every row of a batch of draws at once. ``mrr`` keeps its own
+scalar body, which ``srr_batch`` at k = N equals row by row, bit for bit.
 """
 
 from __future__ import annotations
@@ -200,42 +199,30 @@ def egr_batch(g: np.ndarray, f: np.ndarray, params: SystemParams,
 
 def mrr(ch: ChannelRealization, params: SystemParams) -> Beamformer:
     """Ratio-matched reflecting: p~ proportional to g* o f, rotated by
-    exp(-j arg(h)) so the reflected sum adds in phase with the direct path."""
-    return _matched(ch, params, ch.n_elements, "product channel g* o f is identically zero")
-
-
-def srr(ch: ChannelRealization, params: SystemParams, k: int) -> Beamformer:
-    """Selective ratio reflecting: MRR restricted to the k elements with
-    largest product-channel magnitude |g(n)* f(n)| (ties: lower index)."""
-    n = ch.n_elements
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    return _matched(ch, params, k, "selected product channels are identically zero")
-
-
-def _matched(ch: ChannelRealization, params: SystemParams, k: int,
-             zero_message: str) -> Beamformer:
-    # MRR on the k selected elements, gathered in ascending index order;
-    # k = N selects every element, with nothing to sort or gather. The
-    # scale is the closed form lam = sqrt(P_I S2 / (P_S S4 + sigma_I^2 S2))
-    # with S2 = sum |g f|^2 and S4 = sum |f|^2 |g|^4 over the selection.
-    n = ch.n_elements
+    exp(-j arg(h)) so the reflected sum adds in phase with the direct path.
+    The scale is the closed form lam = sqrt(P_I S2 / (P_S S4 + sigma_I^2 S2))
+    with S2 = sum |g f|^2 and S4 = sum |f|^2 |g|^4."""
     g, f = ch.g, ch.f
     w = np.conj(g) * f
-    if k < n:
-        mask = np.zeros(n, dtype=bool)
-        mask[np.argsort(-np.abs(w), kind="stable")[:k]] = True
-        g, f = g[mask], f[mask]
-        w = np.zeros(n, dtype=np.complex128)
-        w[mask] = np.conj(g) * f
     nrm = _norm(w)
     if nrm == 0.0:
-        raise ValueError(zero_message)
+        raise ValueError("product channel g* o f is identically zero")
     p_norm = (w / nrm) * _direct_phase_factor(ch.h)
     s2 = float((np.abs(g * f) ** 2).sum())
     s4 = float((np.abs(f) ** 2 * np.abs(g) ** 4).sum())
     lam = math.sqrt(params.p_i * s2 / (params.p_s * s4 + params.sigma_i_sq * s2))
     return Beamformer(p_norm, lam)
+
+
+def srr(ch: ChannelRealization, params: SystemParams, k: int) -> Beamformer:
+    """Selective ratio reflecting: MRR restricted to the k elements with
+    largest product-channel magnitude |g(n)* f(n)| (ties: lower index)."""
+    try:
+        batch = srr_batch(ch.g[None], ch.f[None], np.array([ch.h]), k)
+        lam = batch.lam(params)
+    except ValueError as err:    # a row error's message, without its "trial 0: "
+        raise ValueError(getattr(err, "reason", str(err))) from None
+    return Beamformer(batch.p_normalized[0], float(lam[0]))
 
 
 def _row_norms(w: np.ndarray) -> np.ndarray:
@@ -276,9 +263,10 @@ def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int,
     channels ``h`` at once; k = N gives ``mrr``. ``trials`` numbers the
     rows in error messages (default: the row index).
 
-    Each step repeats the scalar design's operation, in its operand order,
-    so every row matches the scalar result bit for bit: the selection is
-    gathered in ascending index order, norms are the BLAS dot products that
+    Each row repeats the scalar design of one draw, in its operand order:
+    the selection is gathered in ascending index order, then ``mrr``'s
+    steps run on it. So every row equals that scalar result bit for bit,
+    and ``mrr``'s at k = N: norms are the BLAS dot products that
     ``np.linalg.norm`` takes, and complex products are written as
     ``np.multiply`` calls, since numpy may swap the operands of ``a * b``
     on large temporaries.
@@ -392,7 +380,7 @@ def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemPa
     as soon as its own stopping rule fires or it reaches
     ``max_iterations``, so every row keeps the scalar iteration count.
     The steps repeat ``asnr_direction`` and ``lambda_from_normalized`` in
-    their operand order, as ``srr_batch`` repeats ``srr``: the square of
+    their operand order, as ``srr_batch`` repeats ``mrr``: the square of
     the scale is taken on Python floats (libm ``pow``), norms are the dot
     products ``np.linalg.norm`` takes, and complex products are
     ``np.multiply`` calls.

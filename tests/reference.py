@@ -1,11 +1,12 @@
 """Scalar designs as they were first written, one draw at a time.
 
-``irsbeam.egr`` and ``irsbeam.passive_aligned`` are one-row calls of the
-batch kernels ``egr_batch`` and ``passive_aligned_batch``, which must
-return the same bits; these bodies are kept unchanged as the reference
-they are held to. ``design`` picks a scalar design by method tag, with
-these two bodies for ``egr`` and ``passive_aligned``, so that rates can be
-recomputed one (method, trial) at a time.
+``irsbeam.egr``, ``irsbeam.srr`` and ``irsbeam.passive_aligned`` are
+one-row calls of the batch kernels ``egr_batch``, ``srr_batch`` and
+``passive_aligned_batch``, which must return the same bits; these bodies
+are kept unchanged as the reference they are held to. ``design`` picks a
+scalar design by method tag, with these three bodies for ``egr``, ``srr``
+and ``passive_aligned``, so that rates can be recomputed one (method,
+trial) at a time.
 """
 
 import cmath
@@ -13,7 +14,9 @@ import math
 
 import numpy as np
 
-from irsbeam import Beamformer, Method, SolverOptions, max_asnr, mrr, random_phase, srr
+from irsbeam import Beamformer, Method, SolverOptions, max_asnr, mrr, random_phase
+from irsbeam.beamforming import _direct_phase_factor
+from irsbeam.metrics import _norm
 
 
 def egr(ch, params):
@@ -25,6 +28,34 @@ def egr(ch, params):
         params.p_i * n
         / (params.p_s * float((np.abs(ch.g) ** 2).sum()) + n * params.sigma_i_sq)
     )
+    return Beamformer(p_norm, lam)
+
+
+def srr(ch, params, k):
+    """Selective ratio reflecting: MRR restricted to the k elements with
+    largest product-channel magnitude |g(n)* f(n)| (ties: lower index)."""
+    n = ch.n_elements
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    # MRR on the k selected elements, gathered in ascending index order;
+    # k = N selects every element, with nothing to sort or gather. The
+    # scale is the closed form lam = sqrt(P_I S2 / (P_S S4 + sigma_I^2 S2))
+    # with S2 = sum |g f|^2 and S4 = sum |f|^2 |g|^4 over the selection.
+    g, f = ch.g, ch.f
+    w = np.conj(g) * f
+    if k < n:
+        mask = np.zeros(n, dtype=bool)
+        mask[np.argsort(-np.abs(w), kind="stable")[:k]] = True
+        g, f = g[mask], f[mask]
+        w = np.zeros(n, dtype=np.complex128)
+        w[mask] = np.conj(g) * f
+    nrm = _norm(w)
+    if nrm == 0.0:
+        raise ValueError("selected product channels are identically zero")
+    p_norm = (w / nrm) * _direct_phase_factor(ch.h)
+    s2 = float((np.abs(g * f) ** 2).sum())
+    s4 = float((np.abs(f) ** 2 * np.abs(g) ** 4).sum())
+    lam = math.sqrt(params.p_i * s2 / (params.p_s * s4 + params.sigma_i_sq * s2))
     return Beamformer(p_norm, lam)
 
 

@@ -203,13 +203,13 @@ class TestSrr:
         ch = channel([0.0, 1.0], [1.0, 0.0], 1.0)
         for k in (1, 2):
             with pytest.raises(ValueError,
-                               match="selected product channels are identically zero"):
+                               match="^selected product channels are identically zero$"):
                 srr(ch, make_params(), k=k)
 
     def test_k_out_of_range(self):
         ch = channel(FIXTURE_G, FIXTURE_F, 1.0)
         for bad in (0, 3):
-            with pytest.raises(ValueError, match="k must be in"):
+            with pytest.raises(ValueError, match=rf"^k must be in \[1, 2\], got {bad}$"):
                 srr(ch, make_params(), k=bad)
 
     def test_closed_form_scale_matches_generic(self, rng):

@@ -29,7 +29,6 @@ from irsbeam import (
     sample_channels,
     sample_channels_batch,
     snr,
-    srr,
     srr_batch,
     trial_seed,
 )
@@ -243,7 +242,7 @@ class TestSrrBatch:
                 p = np.multiply(lam[:, None], batch.p_normalized)
                 rates = rate_batch(p, g, f, h, params)
                 for t, ch in enumerate(draws):
-                    scalar = [srr(ch, params, k)] + ([mrr(ch, params)] if k == n else [])
+                    scalar = [reference.srr(ch, params, k)] + ([mrr(ch, params)] if k == n else [])
                     for bf in scalar:
                         assert np.array_equal(batch.p_normalized[t], bf.p_normalized)
                         assert lam[t] == bf.lam

@@ -36,6 +36,7 @@ from irsbeam import (  # noqa: E402
     sample_channels_batch,
     sign_adjudicate,
     srr,
+    srr_batch,
     trial_seed,
     trial_seeds,
 )
@@ -77,30 +78,37 @@ def test_max_asnr_batch_equals_scalar_and_meets_budget(master_seed, n, trials, p
 @given(master_seed=st.integers(0, 2**64 - 1), n=st.one_of(st.just(1), st.integers(1, 64)),
        direct=st.lists(st.sampled_from(["drawn", 0j, complex(-0.0, 0.0)]), min_size=1,
                        max_size=5),
-       p_s_dbm=st.floats(-20.0, 40.0), p_i_dbm=st.floats(-20.0, 40.0))
-def test_egr_and_passive_aligned_batches_equal_the_scalar_reference(master_seed, n, direct,
-                                                                     p_s_dbm, p_i_dbm):
-    """Row by row, bit for bit; a row's h may be 0 or -0, on which
-    ``cmath.phase`` would give pi."""
+       p_s_dbm=st.floats(-20.0, 40.0), p_i_dbm=st.floats(-20.0, 40.0), data=st.data())
+def test_egr_srr_and_passive_aligned_batches_equal_the_scalar_reference(
+        master_seed, n, direct, p_s_dbm, p_i_dbm, data):
+    """Row by row, bit for bit, and so are the public one-row calls; ``srr``
+    runs at a drawn k. A row's h may be 0 or -0, on which ``cmath.phase``
+    would give pi."""
     params = replace(SystemParams.default(n), p_s=dbm_to_watts(p_s_dbm),
                      p_i=dbm_to_watts(p_i_dbm))
+    k = data.draw(st.integers(1, n), label="k")
     g, f, h = sample_channels_batch(
         params, [trial_seed(master_seed, t) for t in range(len(direct))])
     for t, value in enumerate(direct):
         if value != "drawn":
             h[t] = value
-    batches = {reference.egr: egr_batch(g, f, params),
-               reference.passive_aligned: passive_aligned_batch(g, f, h)}
+    selected = srr_batch(g, f, h, k)
+    designs = {
+        "egr": (reference.egr, egr, egr_batch(g, f, params)),
+        "srr": (lambda ch, params: reference.srr(ch, params, k),
+                lambda ch, params: srr(ch, params, k),
+                (selected.p_normalized, selected.lam(params))),
+        "passive_aligned": (reference.passive_aligned, passive_aligned,
+                            passive_aligned_batch(g, f, h)),
+    }
     for t in range(len(direct)):
         ch = ChannelRealization(g=g[t], f=f[t], h=complex(h[t]))
-        for design, (p_norm, lam) in batches.items():
-            expected = design(ch, params)
-            assert p_norm[t].tobytes() == expected.p_normalized.tobytes()
-            assert lam[t].tobytes() == np.float64(expected.lam).tobytes()
-        for design, public in ((reference.egr, egr), (reference.passive_aligned, passive_aligned)):
+        for name, (design, public, (p_norm, lam)) in designs.items():
             expected, bf = design(ch, params), public(ch, params)
-            assert bf.p_normalized.tobytes() == expected.p_normalized.tobytes()
-            assert bf.lam == expected.lam
+            assert p_norm[t].tobytes() == expected.p_normalized.tobytes(), name
+            assert lam[t].tobytes() == np.float64(expected.lam).tobytes(), name
+            assert bf.p_normalized.tobytes() == expected.p_normalized.tobytes(), name
+            assert np.float64(bf.lam).tobytes() == np.float64(expected.lam).tobytes(), name
 
 
 # Seeds at both ends of the one- and two-word entropy ranges.
