@@ -240,6 +240,14 @@ def _holds(base, changes: dict) -> bool:
     return True
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        _require(key not in doc, key, "repeated in the config document")
+        doc[key] = value
+    return doc
+
+
 def parse_config(text: str, scenario: str | Scenario | None = None,
                  overrides: dict | None = None) -> ExperimentConfig:
     """Parse a JSON config document into a validated ExperimentConfig.
@@ -250,7 +258,7 @@ def parse_config(text: str, scenario: str | Scenario | None = None,
     naming the offending key on any violation.
     """
     try:
-        doc = json.loads(text if text.strip() else "{}")
+        doc = json.loads(text if text.strip() else "{}", object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON config: {err}") from err
     if not isinstance(doc, dict):

@@ -6,7 +6,8 @@ budget, and reports the best achievable rate. Used to bound how far the
 closed-form and iterative methods sit from the true optimum. The grid
 holds (phase_steps * amplitude_steps)^(N-1) candidates, so
 ``grid_search_best`` takes N <= 2, which ``oracle-check`` runs on its
-256 x 64 grid.
+256 x 64 grid, evaluating exactly only the rows that a closed-form screen
+keeps at N = 2.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ __all__ = [
 
 # The grid oracle-check runs, and the largest N that it and grid_search_best
 # hold: at N = 3 it would be (256 * 64)^2 = 268,435,456 candidates, and
-# grid_search_best peaks near 160 bytes per candidate (two element columns,
-# the stacked candidates and the per-candidate vectors): about 43 GB.
+# grid_search_best peaks near 145 bytes per evaluated candidate (the angles,
+# the coefficients and the per-candidate vectors; tracemalloc at N = 2 with
+# every row kept): about 39 GB.
 CHECK_PHASE_STEPS = 256
 CHECK_AMPLITUDE_STEPS = 64
 CHECK_MAX_ELEMENTS = 2
@@ -39,7 +41,7 @@ CHECK_MAX_ELEMENTS = 2
 # least best - SCREEN_KEEP_BAND * (1 + best). The grid phases sum to zero,
 # so over a profile's phases |u + v e_k|^2 averages |u|^2 + |v|^2: no term
 # of any candidate's SNR exceeds the best SNR, and neither the screen nor
-# the exact chain loses digits to cancellation. Each is within a few tens
+# the exact rates lose digits to cancellation. Each is within a few tens
 # of ulps of the true SNR, relative to the best (measured below 3e-15).
 # Two SNRs give the same rate log2(1 + snr) only when their 1 + snr round
 # to within an ulp, 2.2e-16 * (1 + best). The band exceeds both by eight
@@ -72,11 +74,12 @@ def _amplitude_profiles(n: int, amplitude_steps: int) -> np.ndarray:
 
 
 def _screen_rows(ch: ChannelRealization, params: SystemParams, amps: np.ndarray,
-                 anchor: np.ndarray, e: np.ndarray, gauge) -> np.ndarray:
+                 anchor_angle: float, phi: np.ndarray, gauge) -> np.ndarray:
     """Indices of the N = 2 phase rows that can hold the best rate.
 
     Every candidate's SNR is scored in closed form, taking |e_k| = 1 as
-    exact. With c = conj(f) * g, a candidate's reflected sum is
+    exact. With c = conj(f) * g, anchor = exp(i anchor_angle) and
+    e_k = exp(i phi_k), a candidate's reflected sum is
     h* + gauge * lam_j * (a_j0 * anchor * c_0 + a_j1 * e_k * c_1) = u_j + v_j e_k,
     so its SNR is p_s (|u_j|^2 + |v_j|^2 + 2 Re(u_j conj(v_j e_k))) / den_j,
     where lam_j and den_j depend on the profile j only. A row is kept when
@@ -89,16 +92,16 @@ def _screen_rows(ch: ChannelRealization, params: SystemParams, amps: np.ndarray,
     den = params.sigma_u_sq + params.sigma_i_sq * lam_sq * (a_sq @ np.abs(ch.f) ** 2)
     c = np.conj(ch.f) * ch.g
     lam = np.sqrt(lam_sq)
-    u = ch.h.conjugate() + gauge * lam * amps[:, 0] * (anchor[0] * c[0])
+    u = ch.h.conjugate() + gauge * lam * amps[:, 0] * (np.exp(1j * anchor_angle) * c[0])
     v = gauge * lam * amps[:, 1] * c[1]
     scale = params.p_s / den
     cross = 2.0 * scale * (u * np.conj(v))
-    score = np.stack([e.real, e.imag], axis=1) @ np.stack([cross.real, cross.imag])
+    score = np.stack([np.cos(phi), np.sin(phi)], axis=1) @ np.stack([cross.real, cross.imag])
     score += scale * (np.abs(u) ** 2 + np.abs(v) ** 2)
     row_best = score.max(axis=1)
     best = row_best.max()
     if not np.isfinite(best):
-        return np.arange(e.shape[0])
+        return np.arange(phi.shape[0])
     return np.flatnonzero(row_best >= best - SCREEN_KEEP_BAND * (1.0 + best))
 
 
@@ -115,17 +118,12 @@ def grid_search_best(ch: ChannelRealization, params: SystemParams,
     tuple.
 
     Candidates sit on a (phases, profiles) grid, phase index major. At
-    N = 2 every candidate is first scored in closed form (``_screen_rows``),
-    and the exact rates below are evaluated on the kept phase rows only;
-    N = 1 is the single row. Each element's coefficients form one
-    contiguous column of that grid, and the per-element power terms are
-    summed left to right, element 1 first; element 1's column varies with
-    the profile only, so its terms are taken on one row and broadcast.
-
-    A kept row's rates equal those of the full (candidates, N) form in
-    ``tests/grid_reference.py`` bit for bit as long as the reflected sum
-    ``q @ c`` rounds each row alike whatever the number of rows; that holds
-    for the OpenBLAS kernels numpy ships (scipy-openblas 0.3.31), and
+    N = 2 every candidate is first scored in closed form (``_screen_rows``);
+    the kept phase rows (N = 1: the single row) then go through the
+    unscreened (candidates, N) expressions of ``tests/grid_reference.py``.
+    Their rates equal that form's bit for bit as long as ``q @ c`` rounds
+    each row alike whatever the number of rows; that holds for the OpenBLAS
+    kernels numpy ships (scipy-openblas 0.3.31), and
     ``tests/test_properties.py`` checks it.
     """
     n = ch.n_elements
@@ -139,37 +137,29 @@ def grid_search_best(ch: ChannelRealization, params: SystemParams,
     amps = _amplitude_profiles(n, amplitude_steps)
     n_amp = amps.shape[0]
     gauge = ch.h.conjugate() / abs(ch.h) if ch.h != 0 else 1.0
-
-    # Phase factors per element: element 1's anchor, then element 2's kept
-    # grid phases in candidate order. The anchor's angle comes from a
-    # numpy-scalar product and each power term below from an array product,
-    # as in the (candidates, N) form: numpy rounds the two kinds differently
-    # in the last bit.
-    anchor = np.exp(1j * np.full(1, np.angle(np.conj(ch.g[0]) * ch.f[0])))
-    factors = [anchor]
+    anchor_angle = np.angle(np.conj(ch.g[0]) * ch.f[0])
+    rows = np.zeros(1)  # element 2's kept grid phases; N = 1 has the single row
     if n == 2:
-        e = np.exp(1j * (2.0 * math.pi * np.arange(phase_steps) / phase_steps))
-        factors.append(e[_screen_rows(ch, params, amps, anchor, e, gauge)])
-    n_phase = factors[-1].shape[0]
-    columns = [amps[None, :, k] * factors[k][:, None] for k in range(n)]
+        phi = 2.0 * math.pi * np.arange(phase_steps) / phase_steps
+        rows = phi[_screen_rows(ch, params, amps, anchor_angle, phi, gauge)]
 
-    def power(coupling: np.ndarray | None = None) -> np.ndarray:
-        """Per candidate, sum_k |q_k coupling_k|^2 (or sum_k |q_k|^2); the
-        length-1 slice keeps each product an array product."""
-        total = sum(np.abs(col if coupling is None else col * coupling[k:k + 1]) ** 2
-                    for k, col in enumerate(columns))
-        return np.broadcast_to(total, (n_phase, n_amp)).reshape(-1)
+    # Candidate matrix of the kept rows, phase index major then amplitude index.
+    theta = np.zeros((rows.shape[0] * n_amp, n))
+    theta[:, 0] = anchor_angle
+    if n > 1:
+        theta[:, 1] = np.repeat(rows, n_amp)
+    q = np.tile(amps, (rows.shape[0], 1)) * np.exp(1j * theta)
 
-    q = np.empty((n_phase, n_amp, n), dtype=complex)
-    for k, col in enumerate(columns):
-        q[:, :, k] = col
-    q = q.reshape(-1, n)
-
-    lam_sq = params.p_i / (params.p_s * power(ch.g) + params.sigma_i_sq * power())
+    lam_sq = params.p_i / (
+        params.p_s * np.sum(np.abs(q * ch.g) ** 2, axis=1)
+        + params.sigma_i_sq * np.sum(np.abs(q) ** 2, axis=1)
+    )
     lam = np.sqrt(lam_sq)
     reflected = gauge * lam * (q @ (np.conj(ch.f) * ch.g))
     num = params.p_s * np.abs(ch.h.conjugate() + reflected) ** 2
-    den = params.sigma_u_sq + params.sigma_i_sq * lam_sq * power(ch.f)
+    den = params.sigma_u_sq + params.sigma_i_sq * lam_sq * np.sum(
+        np.abs(q * ch.f) ** 2, axis=1
+    )
     rates = np.log2(1.0 + num / den)
 
     # Kept rows are in candidate order, and every candidate that ties the

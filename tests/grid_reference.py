@@ -1,7 +1,8 @@
 """The grid search as it was first written: one (candidates, N) array per
-quantity, reduced along the element axis. ``irsbeam.oracle.grid_search_best``
-evaluates the same grid one element column at a time and must return the
-same bits; this body is kept unchanged as the reference it is held to."""
+quantity, reduced along the element axis, over every candidate.
+``irsbeam.oracle.grid_search_best`` runs the same expressions on the phase
+rows its N = 2 screen keeps and must return the same bits; this body is
+kept unchanged as the unscreened reference it is held to."""
 
 import math
 

@@ -78,6 +78,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{not json")
 
+    def test_repeated_key_names_key(self):
+        with pytest.raises(ConfigError, match="^trials: repeated"):
+            parse_config('{"trials": 10, "trials": 20}')
+
     def test_invalid_scenario(self):
         with pytest.raises(ConfigError, match="scenario"):
             parse_config('{"scenario": "warp-speed"}')

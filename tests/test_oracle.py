@@ -92,6 +92,19 @@ class TestGridSearch:
             assert got.best_direction.tobytes() == want.best_direction.tobytes()
             assert got.grid_points_evaluated == want.grid_points_evaluated == (256 * 64) ** (n - 1)
 
+    def test_non_finite_screen_keeps_every_row(self):
+        # |g|^2 overflows, so the profiles with a zero amplitude score
+        # 0 * inf = nan, and the screen's best is not finite.
+        params = SystemParams.default(2)
+        ch = ChannelRealization(g=np.array([0.8 + 0.3j, -0.2 + 0.6j]) * 1e160,
+                                f=np.array([0.5 - 0.4j, 0.1 + 0.9j]), h=0.3 - 0.2j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = grid_search_best(ch, params, 32, 8)
+            want = grid_search_best_reference(ch, params, 32, 8)
+        assert got.best_rate_bits == want.best_rate_bits
+        assert got.best_direction.tobytes() == want.best_direction.tobytes()
+        assert got.grid_points_evaluated == want.grid_points_evaluated == 32 * 8
+
     def test_guards(self):
         for n in (3, 4):
             params = SystemParams.default(n)
