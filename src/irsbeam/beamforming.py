@@ -178,22 +178,21 @@ def egr(ch: ChannelRealization, params: SystemParams) -> Beamformer:
     return Beamformer(p_norm[0], float(lam[0]))
 
 
-def egr_batch(g: np.ndarray, f: np.ndarray, params: SystemParams,
-              trials: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def egr_batch(g: np.ndarray, f: np.ndarray,
+              params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """``egr`` on the rows of (T, N) channels ``g`` and ``f`` at once: the
     (T, N) unit directions and the (T,) budget-feasible scales
-    lam = sqrt(P_I N / (P_S sum|g|^2 + N sigma_I^2)). ``trials`` numbers
-    the rows in error messages (default: the row index). Complex products
+    lam = sqrt(P_I N / (P_S sum|g|^2 + N sigma_I^2)). Complex products
     are ``np.multiply`` calls in a fixed operand order, as in ``srr_batch``.
     """
     n = g.shape[1]
     theta = np.angle(np.multiply(f, np.conj(g)))
     p_norm = np.exp(np.multiply(1j, theta)) / math.sqrt(n)
     _require_rows(np.abs(_row_norms(p_norm) - 1.0) <= 1e-12,
-                  "p_normalized must have unit 2-norm", trials)
+                  "p_normalized must have unit 2-norm")
     lam = np.sqrt(params.p_i * n
                   / (params.p_s * np.sum(np.abs(g) ** 2, axis=1) + n * params.sigma_i_sq))
-    _require_rows(lam > 0.0, "lam must be positive", trials)
+    _require_rows(lam > 0.0, "lam must be positive")
     return p_norm, lam
 
 
@@ -217,12 +216,8 @@ def mrr(ch: ChannelRealization, params: SystemParams) -> Beamformer:
 def srr(ch: ChannelRealization, params: SystemParams, k: int) -> Beamformer:
     """Selective ratio reflecting: MRR restricted to the k elements with
     largest product-channel magnitude |g(n)* f(n)| (ties: lower index)."""
-    try:
-        batch = srr_batch(ch.g[None], ch.f[None], np.array([ch.h]), k)
-        lam = batch.lam(params)
-    except ValueError as err:    # a row error's message, without its "trial 0: "
-        raise ValueError(getattr(err, "reason", str(err))) from None
-    return Beamformer(batch.p_normalized[0], float(lam[0]))
+    batch = srr_batch(ch.g[None], ch.f[None], np.array([ch.h]), k)
+    return Beamformer(batch.p_normalized[0], float(batch.lam(params)[0]))
 
 
 def _row_norms(w: np.ndarray) -> np.ndarray:
@@ -247,21 +242,18 @@ class MatchedBatch:
     p_normalized: np.ndarray    # (T, N), exactly zero off the selection
     s2: np.ndarray              # (T,) sum |g f|^2 over the selection
     s4: np.ndarray              # (T,) sum |f|^2 |g|^4 over the selection
-    trials: np.ndarray | None = None   # row numbers for error messages
 
     def lam(self, params: SystemParams) -> np.ndarray:
         """Budget-feasible scale of every row, equal to ``srr(...).lam``."""
         lam = np.sqrt(params.p_i * self.s2
                       / (params.p_s * self.s4 + params.sigma_i_sq * self.s2))
-        _require_rows(lam > 0.0, "lam must be positive", self.trials)
+        _require_rows(lam > 0.0, "lam must be positive")
         return lam
 
 
-def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int,
-              trials: np.ndarray | None = None) -> MatchedBatch:
+def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int) -> MatchedBatch:
     """``srr`` on the rows of (T, N) channels ``g``, ``f`` and (T,) direct
-    channels ``h`` at once; k = N gives ``mrr``. ``trials`` numbers the
-    rows in error messages (default: the row index).
+    channels ``h`` at once; k = N gives ``mrr``.
 
     Each row repeats the scalar design of one draw, in its operand order:
     the selection is gathered in ascending index order, then ``mrr``'s
@@ -272,10 +264,10 @@ def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int,
     on large temporaries.
     """
     t, n = g.shape
-    if not 1 <= k <= n:
+    if k is None or not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     _require_rows(np.isfinite(g).all(axis=1) & np.isfinite(f).all(axis=1) & np.isfinite(h),
-                  "channel entries must be finite", trials)
+                  "channel entries must be finite")
     if k == n:      # every element is selected: nothing to sort or gather
         g_sel, f_sel = g, f
         w = np.multiply(np.conj(g), f)
@@ -288,14 +280,14 @@ def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int,
         w[mask] = np.multiply(np.conj(g_sel), f_sel)
         g_sel, f_sel = g_sel.reshape(t, k), f_sel.reshape(t, k)
     nrm = _row_norms(w)
-    _require_rows(nrm != 0.0, "selected product channels are identically zero", trials)
+    _require_rows(nrm != 0.0, "selected product channels are identically zero")
     phase = np.array([_direct_phase_factor(x) for x in h.tolist()])
     p_norm = np.multiply(np.divide(w, nrm[:, None]), phase[:, None])
     _require_rows(np.abs(_row_norms(p_norm) - 1.0) <= 1e-12,
-                  "p_normalized must have unit 2-norm", trials)
+                  "p_normalized must have unit 2-norm")
     s2 = np.sum(np.abs(np.multiply(g_sel, f_sel)) ** 2, axis=1)
     s4 = np.sum(np.abs(f_sel) ** 2 * np.abs(g_sel) ** 4, axis=1)
-    return MatchedBatch(p_norm, s2, s4, trials)
+    return MatchedBatch(p_norm, s2, s4)
 
 
 def asnr_direction(ch: ChannelRealization, params: SystemParams, lam: float) -> np.ndarray:
@@ -359,22 +351,21 @@ class MaxAsnrBatch:
 
 def _asnr_directions(g: np.ndarray, f: np.ndarray, amp_noise: np.ndarray,
                      phase: np.ndarray, lam: np.ndarray, params: SystemParams,
-                     trials: np.ndarray) -> np.ndarray:
+                     rows: np.ndarray) -> np.ndarray:
     # asnr_direction on every row, given amp_noise = sigma_I^2 |f|^2 and
-    # the direct-path factor of each row.
+    # the direct-path factor of each row; ``rows`` are their batch rows.
     offset = np.array([params.sigma_u_sq / x**2 for x in lam.tolist()])
     w = np.divide(np.multiply(np.conj(g), f), amp_noise + offset[:, None])
     nrm = _row_norms(w)
-    _require_rows(nrm != 0.0, "product channel g* o f is identically zero", trials)
+    _require_rows(nrm != 0.0, "product channel g* o f is identically zero", rows)
     return np.multiply(np.divide(w, nrm[:, None]), phase[:, None])
 
 
 def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemParams,
-                   opts: SolverOptions = SolverOptions(),
-                   trials: np.ndarray | None = None) -> MaxAsnrBatch:
+                   opts: SolverOptions = SolverOptions()) -> MaxAsnrBatch:
     """``max_asnr`` on the rows of (T, N) channels ``g``, ``f`` and (T,)
-    direct channels ``h`` at once. ``trials`` numbers the rows in error
-    messages (default: the row index).
+    direct channels ``h`` at once. A failing check names the row of the
+    batch, however many rows have left it.
 
     Each pass runs on the rows still active. A row leaves the active set
     as soon as its own stopping rule fires or it reaches
@@ -386,11 +377,9 @@ def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemPa
     ``np.multiply`` calls.
     """
     t, n = g.shape
-    trials = np.arange(t) if trials is None else np.asarray(trials)
-    start = srr_batch(g, f, h, n, trials)
+    start = srr_batch(g, f, h, n)
     lam = start.lam(params)
-    rates = metrics.rate_batch(np.multiply(lam[:, None], start.p_normalized),
-                               g, f, h, params, trials)
+    rates = metrics.rate_batch(np.multiply(lam[:, None], start.p_normalized), g, f, h, params)
     records = [[rec] for rec in zip(lam.tolist(), rates.tolist())]
     # Rows of the start's directions are overwritten as their trials end.
     p_final, lam_final = start.p_normalized, lam.copy()
@@ -401,16 +390,17 @@ def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemPa
     rows = np.arange(t)
     amp_noise = params.sigma_i_sq * np.abs(f) ** 2
     for it in range(1, opts.max_iterations + 1):
-        label = trials[rows]
-        p_norm = _asnr_directions(g, f, amp_noise, phase, lam, params, label)
+        p_norm = _asnr_directions(g, f, amp_noise, phase, lam, params, rows)
         _require_rows(np.abs(_row_norms(p_norm) - 1.0) <= 1e-12,
-                      "p_normalized must have unit 2-norm", label)
+                      "p_normalized must have unit 2-norm", rows)
         signal = (np.abs(np.multiply(p_norm, g)) ** 2).sum(axis=1)
         noise = (np.abs(p_norm) ** 2).sum(axis=1)
         new_lam = np.sqrt(params.p_i / (params.p_s * signal + params.sigma_i_sq * noise))
-        _require_rows(new_lam > 0.0, "lam must be positive", label)
-        rates = metrics.rate_batch(np.multiply(new_lam[:, None], p_norm),
-                                   g, f, h, params, label)
+        _require_rows(new_lam > 0.0, "lam must be positive", rows)
+        # No row mapping: rate_batch's checks cannot fire on a validated
+        # SystemParams, whose noise denominator is at least sigma_u^2 > 0 and
+        # whose SNR is P_S |.|^2 over it.
+        rates = metrics.rate_batch(np.multiply(new_lam[:, None], p_norm), g, f, h, params)
         for row, rec in zip(rows.tolist(), zip(new_lam.tolist(), rates.tolist())):
             records[row].append(rec)
         done = np.abs(new_lam - lam) / lam <= opts.tolerance
@@ -447,17 +437,16 @@ def passive_aligned(ch: ChannelRealization, params: SystemParams) -> Beamformer:
     return Beamformer(p_norm[0], float(lam[0]))
 
 
-def passive_aligned_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray,
-                          trials: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def passive_aligned_batch(g: np.ndarray, f: np.ndarray,
+                          h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``passive_aligned`` on the rows of (T, N) channels ``g``, ``f`` and
     (T,) direct channels ``h`` at once: the (T, N) unit directions
     exp(j (arg(f g*) - arg h)) / sqrt(N), with arg 0 taken as 0, and the
-    (T,) scales sqrt(N). ``trials`` numbers the rows in error messages
-    (default: the row index)."""
+    (T,) scales sqrt(N)."""
     t, n = g.shape
     theta = np.angle(np.multiply(f, np.conj(g)))
     phi = np.array([cmath.phase(x) if x != 0 else 0.0 for x in h.tolist()])
     p_norm = np.exp(np.multiply(1j, theta - phi[:, None])) / math.sqrt(n)
     _require_rows(np.abs(_row_norms(p_norm) - 1.0) <= 1e-12,
-                  "p_normalized must have unit 2-norm", trials)
+                  "p_normalized must have unit 2-norm")
     return p_norm, np.full(t, math.sqrt(n))

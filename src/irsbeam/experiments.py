@@ -88,16 +88,16 @@ def _summary_cells(n: int) -> list[tuple[Method, int | None]]:
 
 @dataclass
 class _Naming:
-    """A context that re-raises any error inside it as a RuntimeError
-    naming the trial, and the method if one is given. An error that a
-    batch kernel raises for one of its rows carries that row's trial
-    (``metrics._require_rows``), which it names instead; so a context
-    around a kernel call names the block's first trial only for an error
-    tied to no row. It is a class, not a ``contextlib.contextmanager``: it
-    runs once per trial and design, and the generator costs about three
-    times as much per use."""
+    """A context that re-raises any error inside it as
+    ``RuntimeError("trial <t> failed[ for method <m>]: <message>")``. Around
+    a batch of trials, ``first`` is the run index of its first trial: an
+    error that a batch kernel raises for one of its rows carries that row
+    as ``row`` (``metrics._require_rows``), and t is ``first + row``; an
+    error tied to no row names ``first``. It is a class, not a
+    ``contextlib.contextmanager``: it runs once per trial and design, and
+    the generator costs about three times as much per use."""
 
-    trial: int
+    first: int
     method: Method | None = None
 
     def __enter__(self) -> None:
@@ -106,8 +106,8 @@ class _Naming:
     def __exit__(self, kind, err, traceback) -> None:
         if isinstance(err, Exception):
             what = "" if self.method is None else f" for method {self.method.value}"
-            trial, reason = getattr(err, "trial", self.trial), getattr(err, "reason", err)
-            raise RuntimeError(f"trial {trial} failed{what}: {reason}") from err
+            trial = self.first + getattr(err, "row", 0)
+            raise RuntimeError(f"trial {trial} failed{what}: {err}") from err
 
 
 # Channel entries (trials times elements) that the runners draw and design
@@ -119,22 +119,21 @@ BLOCK_ENTRIES = 8192
 
 
 def _blocks(n: int, seeds: list[int]):
-    """Yield ``(trials, block_seeds)`` for consecutive blocks of
-    ``max(1, BLOCK_ENTRIES // n)`` trials; ``trials`` holds the block's
-    trial indices, which the batch kernels name in their errors."""
+    """Yield ``(first, block_seeds)`` for consecutive blocks of
+    ``max(1, BLOCK_ENTRIES // n)`` trials, ``first`` being the run index of
+    the block's first trial."""
     size = max(1, BLOCK_ENTRIES // n)
-    for start in range(0, len(seeds), size):
-        block = seeds[start:start + size]
-        yield np.arange(start, start + len(block)), block
+    for first in range(0, len(seeds), size):
+        yield first, seeds[first:first + size]
 
 
 @dataclass
 class _Block:
-    """A block of trials drawn one at a time: their indices in the run,
-    their draws, each one's stream-1 seed, and the draws stacked as (T, N)
-    ``g``, ``f`` and (T,) ``h``."""
+    """A block of trials drawn one at a time: the run index of its first
+    trial, their draws, each one's stream-1 seed, and the draws stacked as
+    (T, N) ``g``, ``f`` and (T,) ``h``."""
 
-    trials: np.ndarray
+    first: int
     channels: list[ChannelRealization]
     phase_seeds: list[int]
     g: np.ndarray = field(init=False)
@@ -158,9 +157,10 @@ def _block_rates(method: Method, k: int | None, block: _Block, params: SystemPar
     call. Each rate equals ``rate(snr(design(ch), ch, params))`` bit for
     bit."""
     solver = solver or SolverOptions()
+    g, f, h, missed = block.g, block.f, block.h, 0
     if method is Method.RANDOM_PHASE or (method is Method.MAX_ASNR and max_asnr_per_trial):
-        rows, missed = [], 0
-        for t, ch, seed in zip(block.trials.tolist(), block.channels, block.phase_seeds):
+        rows = []
+        for t, (ch, seed) in enumerate(zip(block.channels, block.phase_seeds), block.first):
             with _Naming(t, method):
                 if method is Method.RANDOM_PHASE:
                     bf = random_phase(ch, params, seed)
@@ -170,27 +170,21 @@ def _block_rates(method: Method, k: int | None, block: _Block, params: SystemPar
             rows.append(bf.p)
         p = np.array(rows)
     else:
-        g, f, h, trials = block.g, block.f, block.h, block.trials
-        missed = 0
-        with _Naming(int(trials[0]), method):
+        with _Naming(block.first, method):
             if method is Method.MAX_ASNR:
-                design = max_asnr_batch(g, f, h, params, solver, trials)
+                design = max_asnr_batch(g, f, h, params, solver)
                 p_norm, lam = design.p_normalized, design.lam
                 missed = int(np.count_nonzero(~design.converged))
             elif method is Method.MRR or method is Method.SRR:
-                if method is Method.SRR and k is None:
-                    raise ValueError("SRR requires a selection size k")
-                matched = srr_batch(g, f, h, g.shape[1] if method is Method.MRR else k, trials)
+                matched = srr_batch(g, f, h, g.shape[1] if method is Method.MRR else k)
                 p_norm, lam = matched.p_normalized, matched.lam(params)
             elif method is Method.EGR:
-                p_norm, lam = egr_batch(g, f, params, trials)
-            elif method is Method.PASSIVE_ALIGNED:
-                p_norm, lam = passive_aligned_batch(g, f, h, trials)
+                p_norm, lam = egr_batch(g, f, params)
             else:
-                raise ValueError(f"unsupported method {method!r}")
+                p_norm, lam = passive_aligned_batch(g, f, h)
             p = np.multiply(lam[:, None], p_norm)
-    with _Naming(int(block.trials[0]), method):
-        return metrics.rate_batch(p, block.g, block.f, block.h, params, block.trials), missed
+    with _Naming(block.first, method):
+        return metrics.rate_batch(p, g, f, h, params), missed
 
 
 def _trial_rates(method: Method, params: SystemParams, seeds: list[int], master_seed: int,
@@ -201,19 +195,19 @@ def _trial_rates(method: Method, params: SystemParams, seeds: list[int], master_
     if not seeds:
         raise ValueError("trials must be >= 1")
     parts, unconverged = [], 0
-    for trials, block_seeds in _blocks(params.n_elements, seeds):
+    for first, block_seeds in _blocks(params.n_elements, seeds):
         channels, phase_seeds = [], []
-        for t, seed in zip(trials.tolist(), block_seeds):
+        for t, seed in enumerate(block_seeds, first):
             # Each (trial, method) draws its own channel and mixes its own
             # stream-1 seed, though the draws repeat across methods and
             # only random_phase reads the seed; max_asnr runs trial by
             # trial. bench/test_bench.py pins draws_per_trial == 6.0,
             # phase_seed_use_ratio == 1/6 and max_asnr.calls == trials * |N|
             # on rate_vs_n until ROADMAP item 1.
-            with _Naming(t, method):
+            with _Naming(t):
                 channels.append(sample_channels(params, seed))
                 phase_seeds.append(trial_seed(master_seed, t, stream=1))
-        rates, missed = _block_rates(method, k, _Block(trials, channels, phase_seeds), params,
+        rates, missed = _block_rates(method, k, _Block(first, channels, phase_seeds), params,
                                      solver, max_asnr_per_trial=True)
         parts.append(rates)
         unconverged += missed
@@ -251,9 +245,11 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         seeds: list[int] = []
         iterations: list[int] = []
         records: list[tuple[float, float]] = []
-        for trials, block in _blocks(n, all_seeds):
-            g, f, h = sample_channels_batch(params, block)
-            batch = max_asnr_batch(g, f, h, params, cfg.solver, trials)
+        for first, block in _blocks(n, all_seeds):
+            with _Naming(first):
+                g, f, h = sample_channels_batch(params, block)
+            with _Naming(first, Method.MAX_ASNR):
+                batch = max_asnr_batch(g, f, h, params, cfg.solver)
             for seed, trace in zip(block, batch.records):
                 seeds += [seed] * len(trace)
                 iterations += range(len(trace))
@@ -288,15 +284,18 @@ def run_srr_sweep(cfg: ExperimentConfig,
     # mrr row is srr at k = N on the same draws.
     parts: dict[tuple[int, int], list[np.ndarray]] = {
         (level, k): [] for level in range(len(levels)) for _, k in cells}
-    selections = {k for _, k in cells}
+    # Each selection size once, the k = N design named mrr.
+    selections = {k: method for method, k in cells}
     draw_params = cfg.params_for(n)
-    for trials, block in _blocks(n, seeds):
-        g, f, h = sample_channels_batch(draw_params, block)
-        designs = {k: srr_batch(g, f, h, k, trials) for k in selections}
-        for (level, k), part in parts.items():
-            params, design = levels[level], designs[k]
-            p = np.multiply(design.lam(params)[:, None], design.p_normalized)
-            part.append(metrics.rate_batch(p, g, f, h, params, trials))
+    for first, block in _blocks(n, seeds):
+        with _Naming(first):
+            g, f, h = sample_channels_batch(draw_params, block)
+        for k, method in selections.items():
+            with _Naming(first, method):
+                design = srr_batch(g, f, h, k)
+                for level, params in enumerate(levels):
+                    p = np.multiply(design.lam(params)[:, None], design.p_normalized)
+                    parts[level, k].append(metrics.rate_batch(p, g, f, h, params))
     table, log = Table(), Table()
     trial_column = range(cfg.trials)
     for level, p_s_dbm in enumerate(cfg.p_s_dbm_values):
@@ -370,9 +369,9 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
         cells = _summary_cells(n)
         rates: list[float] = []
         best: list[float] = []
-        for trials, block_seeds in _blocks(n, seeds):
+        for first, block_seeds in _blocks(n, seeds):
             channels, phase_seeds = [], []
-            for t, seed in zip(trials.tolist(), block_seeds):
+            for t, seed in enumerate(block_seeds, first):
                 # One scalar draw and one grid search per (trial, N), and one
                 # stream-1 seed per (trial, method) of which random_phase
                 # reads one: bench/test_bench.py pins draws_per_trial == 1.0,
@@ -385,7 +384,7 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
                     phase_seeds.append(
                         [trial_seed(cfg.master_seed, t, stream=1) for _ in cells][0])
                 channels.append(ch)
-            block = _Block(trials, channels, phase_seeds)
+            block = _Block(first, channels, phase_seeds)
             columns = []
             for method, k in cells:
                 column, missed = _block_rates(method, k, block, params, cfg.solver)

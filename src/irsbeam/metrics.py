@@ -73,24 +73,22 @@ def rate(snr_value: float) -> float:
     return math.log2(1.0 + snr_value)
 
 
-def _require_rows(ok: np.ndarray, message: str, trials: np.ndarray | None = None,
+def _require_rows(ok: np.ndarray, message: str, rows: np.ndarray | None = None,
                   error: type[Exception] = ValueError) -> None:
-    # Raise naming the first failing row, by its number in ``trials``; the
-    # error carries that number as ``trial`` and the message as ``reason``.
+    # Raise the message if a row fails; the error carries the first failing
+    # row as ``row``: its index in ``ok``, or that entry of ``rows``.
     if not ok.all():
         row = int(np.argmin(ok))
-        trial = row if trials is None else int(trials[row])
-        err = error(f"trial {trial}: {message}")
-        err.trial, err.reason = trial, message
+        err = error(message)
+        err.row = row if rows is None else int(rows[row])
         raise err
 
 
 def rate_batch(p: np.ndarray, g: np.ndarray, f: np.ndarray, h: np.ndarray,
-               params: SystemParams, trials: np.ndarray | None = None) -> np.ndarray:
+               params: SystemParams) -> np.ndarray:
     """``rate(snr(p[t], ch_t, params))`` for every row t of (T, N)
     coefficients ``p`` and channels ``g``, ``f`` with (T,) direct channels
-    ``h``, equal to the scalar path bit for bit. ``trials`` numbers the
-    rows in error messages (default: the row index).
+    ``h``, equal to the scalar path bit for bit.
 
     The scalar path takes |.| with Python's ``abs`` (libm ``hypot``) and
     squares and logs Python floats with ``**`` and ``math.log2`` (libm
@@ -99,11 +97,11 @@ def rate_batch(p: np.ndarray, g: np.ndarray, f: np.ndarray, h: np.ndarray,
     """
     den = params.sigma_i_sq * np.sum(np.abs(np.multiply(f, p)) ** 2, axis=1) \
         + params.sigma_u_sq
-    _require_rows(den != 0.0, "total noise power is zero", trials, ZeroDivisionError)
+    _require_rows(den != 0.0, "total noise power is zero", error=ZeroDivisionError)
     s = np.conj(h) + np.sum(np.multiply(np.multiply(np.conj(f), g), p), axis=1)
     magnitude = np.hypot(s.real, s.imag)
     snr_values = params.p_s * np.array([m ** 2 for m in magnitude.tolist()]) / den
-    _require_rows(~(snr_values < 0.0), "snr must be nonnegative", trials)
+    _require_rows(~(snr_values < 0.0), "snr must be nonnegative")
     return np.array([math.log2(1.0 + x) for x in snr_values.tolist()])
 
 

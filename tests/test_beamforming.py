@@ -28,6 +28,7 @@ from irsbeam import (
     trial_seed,
 )
 
+from irsbeam import beamforming
 from conftest import make_params, random_channel
 
 
@@ -406,18 +407,33 @@ class TestMaxAsnrBatch:
         assert batch.records[0] == tuple((r.lam, r.rate_bits) for r in trace.records)
         assert np.array_equal(batch.p_normalized[0], bf.p_normalized)
 
-    def test_checks_name_the_failing_trial(self):
+    def test_checks_name_the_failing_trial(self, monkeypatch):
         params = SystemParams.default(4)
         g, f, h = sample_channels_batch(params, [1, 2, 3])
-        g[1] = 0.0
-        with pytest.raises(ValueError, match="trial 1: selected product channels"):
+        # Row 1 makes one pass more than the others, alone in the batch: a
+        # check that fails there names it by its row in the batch.
+        assert [len(r) for r in max_asnr_batch(g, f, h, params).records] == [4, 5, 4]
+        direction = beamforming._asnr_directions
+
+        def zeroed_when_alone(g, *args):
+            return direction(np.zeros_like(g) if len(g) == 1 else g, *args)
+
+        monkeypatch.setattr(beamforming, "_asnr_directions", zeroed_when_alone)
+        with pytest.raises(ValueError,
+                           match=r"^product channel g\* o f is identically zero$") as excinfo:
             max_asnr_batch(g, f, h, params)
-        with pytest.raises(ValueError, match="trial 41: "):
-            max_asnr_batch(g, f, h, params, trials=np.arange(40, 43))
+        assert excinfo.value.row == 1
+        monkeypatch.undo()
+        g[1] = 0.0
+        with pytest.raises(ValueError,
+                           match="^selected product channels are identically zero$") as excinfo:
+            max_asnr_batch(g, f, h, params)
+        assert excinfo.value.row == 1
         g[1] = 1.0
         f[2, 0] = np.nan
-        with pytest.raises(ValueError, match="trial 2: channel entries must be finite"):
+        with pytest.raises(ValueError, match="^channel entries must be finite$") as excinfo:
             max_asnr_batch(g, f, h, params)
+        assert excinfo.value.row == 2
 
 class TestBaselines:
     def test_random_phase_deterministic(self, rng):

@@ -11,7 +11,6 @@ from irsbeam import (
     SystemParams,
     Table,
     dbm_to_watts,
-    egr_batch,
     format_csv,
     grid_search_best,
     max_asnr,
@@ -66,6 +65,9 @@ class TestMonteCarlo:
         with pytest.raises(RuntimeError,
                            match=r"^trial 0 failed for method srr: k must be in \[1, 4\], got 99$"):
             monte_carlo_rates(Method.SRR, params, 2, 9, k=99)
+        with pytest.raises(RuntimeError,
+                           match=r"^trial 0 failed for method srr: k must be in \[1, 4\], got None$"):
+            monte_carlo_rates(Method.SRR, params, 2, 9)
 
 
 def _scalar_rate(method, params, master_seed, t, k, solver=None):
@@ -255,11 +257,14 @@ class TestSrrBatch:
         with pytest.raises(ValueError, match="k must be in"):
             srr_batch(g, f, h, 5)
         g[1] = 0.0
-        with pytest.raises(ValueError, match="trial 1: selected product channels"):
+        with pytest.raises(ValueError,
+                           match="^selected product channels are identically zero$") as excinfo:
             srr_batch(g, f, h, 2)
+        assert excinfo.value.row == 1
         g[2, 0] = np.nan
-        with pytest.raises(ValueError, match="trial 2: channel entries must be finite"):
+        with pytest.raises(ValueError, match="^channel entries must be finite$") as excinfo:
             srr_batch(g, f, h, 2)
+        assert excinfo.value.row == 2
 
     def test_sweep_evaluates_each_power_and_k_once(self, monkeypatch):
         # k = 8 = N: the srr k = 8 row and the mrr row share one rate_batch
@@ -267,9 +272,9 @@ class TestSrrBatch:
         from irsbeam import metrics
         evaluate, calls = metrics.rate_batch, []
 
-        def counted(p, g, f, h, params, trials=None):
+        def counted(p, g, f, h, params):
             calls.append((params.p_s, len(p)))
-            return evaluate(p, g, f, h, params, trials)
+            return evaluate(p, g, f, h, params)
 
         monkeypatch.setattr(metrics, "rate_batch", counted)
         monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 32)
@@ -352,9 +357,9 @@ class TestRateVsNRun:
         from irsbeam import metrics
         evaluate, calls = metrics.rate_batch, []
 
-        def counted(p, g, f, h, params, trials=None):
+        def counted(p, g, f, h, params):
             calls.append((params.n_elements, len(p)))
-            return evaluate(p, g, f, h, params, trials)
+            return evaluate(p, g, f, h, params)
 
         monkeypatch.setattr(metrics, "rate_batch", counted)
         monkeypatch.setattr(metrics, "snr", _refused)
@@ -417,17 +422,21 @@ class TestSingleAndOracleRuns:
     def test_oracle_check_runs_max_asnr_once_per_draw(self, monkeypatch):
         # max_asnr_batch runs once per block, over all of its rows; the
         # scalar max_asnr never runs.
+        # Each call's trials are told apart by their direct channels.
         calls = []
+        cfg = small_config("oracle-check", n_values=[1, 2], trials=5)
+        trial_of = {(n, sample_channels(cfg.params_for(n), trial_seed(cfg.master_seed, t)).h): t
+                    for n in (1, 2) for t in range(cfg.trials)}
 
-        def counted(g, f, h, params, opts, trials):
-            calls.append((g.shape, trials.tolist()))
-            return max_asnr_batch(g, f, h, params, opts, trials)
+        def counted(g, f, h, params, opts):
+            calls.append((g.shape, [trial_of[params.n_elements, x] for x in h.tolist()]))
+            return max_asnr_batch(g, f, h, params, opts)
 
         monkeypatch.setattr(experiments, "max_asnr_batch", counted)
         monkeypatch.setattr(experiments, "max_asnr", _refused)
         # Blocks of 4 trials at N = 1 and of 2 at N = 2.
         monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 4)
-        run_oracle_check(small_config("oracle-check", n_values=[1, 2], trials=5))
+        run_oracle_check(cfg)
         assert calls == [((4, 1), [0, 1, 2, 3]), ((1, 1), [4]),
                          ((2, 2), [0, 1]), ((2, 2), [2, 3]), ((1, 2), [4])]
 
@@ -436,22 +445,31 @@ def _refused(*args, **kwargs):
     raise AssertionError("this call must not be made")
 
 
-def _failing_on_call(fn, call):
-    """``fn``, except that call number ``call`` raises."""
+def _failing_on_call(fn, call, row=None):
+    """``fn``, except that call number ``call`` raises: for one ``row`` of
+    its batch, as a kernel's check does, or else tied to no row."""
     calls = []
 
     def wrapped(*args, **kwargs):
         calls.append(None)
         if len(calls) == call:
-            raise ValueError("injected")
+            if row is None:
+                raise ValueError("injected")
+            _require_rows(np.arange(len(args[0])) != row, "injected")
         return fn(*args, **kwargs)
 
     return wrapped
 
 
+_SCENARIOS = {run_srr_sweep: "srr-sweep", run_convergence: "convergence",
+              run_rate_vs_n: "rate-vs-n", run_oracle_check: "oracle-check"}
+
+
 class TestErrorsNameTheTrial:
-    """Each runner's errors name the failing trial by its index in the
-    whole run, and a failing design also names its method."""
+    """Every runner raises ``RuntimeError: trial <t> failed[ for method
+    <m>]: <message>`` for a failing draw or design, naming the trial by its
+    index in the whole run, across block boundaries too; a failing design
+    also names its method."""
 
     @pytest.mark.parametrize("scenario", ["srr-sweep", "convergence"])
     def test_batched_runners_name_a_trial_past_the_first_block(self, monkeypatch, scenario):
@@ -469,24 +487,41 @@ class TestErrorsNameTheTrial:
         monkeypatch.setattr(experiments, "sample_channels_batch", zeroed)
         cfg = small_config(scenario, n_values=[8], trials=10)
         runner = run_srr_sweep if scenario == "srr-sweep" else run_convergence
-        with pytest.raises(ValueError,
-                           match="^trial 6: selected product channels are identically zero$"):
+        method = "srr" if scenario == "srr-sweep" else "max-asnr"
+        with pytest.raises(RuntimeError, match=f"^trial 6 failed for method {method}: "
+                                               "selected product channels are identically zero$"):
             runner(cfg)
         assert drawn == [4, 4]
 
-    @pytest.mark.parametrize("runner", [run_rate_vs_n, run_oracle_check])
-    def test_a_failing_design_names_its_trial_and_method(self, monkeypatch, runner):
-        # Blocks of 2 trials at N = 1: trial 3 is row 1 of the second block,
-        # and the kernel's row error names it as the kernels' checks do.
-        def failing(g, f, params, trials):
-            _require_rows(trials != 3, "injected", trials)
-            return egr_batch(g, f, params, trials)
+    # Blocks of 4 trials: trial 6 is row 2 of the second block. srr-sweep
+    # designs k = 4 and then k = N = 8, which it names mrr, in each block.
+    @pytest.mark.parametrize("runner, n, kernel, call, method", [
+        pytest.param(run_srr_sweep, 8, "srr_batch", 4, "mrr", id="run_srr_sweep"),
+        pytest.param(run_rate_vs_n, 8, "egr_batch", 2, "egr", id="run_rate_vs_n"),
+        pytest.param(run_oracle_check, 2, "egr_batch", 2, "egr", id="run_oracle_check"),
+    ])
+    def test_a_failing_design_names_its_trial_and_method(self, monkeypatch, runner, n, kernel,
+                                                         call, method):
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 4 * n)
+        monkeypatch.setattr(experiments, kernel,
+                            _failing_on_call(getattr(experiments, kernel), call, row=2))
+        cfg = small_config(_SCENARIOS[runner], n_values=[n], trials=10)
+        with pytest.raises(RuntimeError, match=f"^trial 6 failed for method {method}: injected$"):
+            runner(cfg)
 
-        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 2)
-        monkeypatch.setattr(experiments, "egr_batch", failing)
-        cfg = small_config("rate-vs-n" if runner is run_rate_vs_n else "oracle-check",
-                           n_values=[1], trials=5)
-        with pytest.raises(RuntimeError, match="^trial 3 failed for method egr: injected$"):
+    # A batched draw fails tied to no row, so it names its block's first
+    # trial; a scalar draw names its own trial.
+    @pytest.mark.parametrize("runner, n, draw, call, trial", [
+        (run_srr_sweep, 8, "sample_channels_batch", 2, 4),
+        (run_convergence, 8, "sample_channels_batch", 2, 4),
+        (run_rate_vs_n, 8, "sample_channels", 7, 6),
+        (run_oracle_check, 2, "sample_channels", 7, 6),
+    ])
+    def test_a_failing_draw_names_its_trial(self, monkeypatch, runner, n, draw, call, trial):
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 4 * n)
+        monkeypatch.setattr(experiments, draw, _failing_on_call(getattr(experiments, draw), call))
+        cfg = small_config(_SCENARIOS[runner], n_values=[n], trials=10)
+        with pytest.raises(RuntimeError, match=f"^trial {trial} failed: injected$"):
             runner(cfg)
 
     @pytest.mark.parametrize("name", ["sample_channels", "grid_search_best"])
