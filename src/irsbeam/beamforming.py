@@ -34,7 +34,7 @@ import numpy as np
 
 from .system import ChannelRealization, SystemParams
 from . import metrics
-from .metrics import _norm, _require_rows
+from .metrics import _norm
 
 __all__ = [
     "Method",
@@ -57,6 +57,24 @@ __all__ = [
     "passive_aligned",
     "passive_aligned_batch",
 ]
+
+
+# Every unit-norm check accepts a 2-norm as abs(norm - 1.0) <= _UNIT_NORM_TOL; NaN fails.
+_UNIT_NORM_TOL = 1e-12
+
+
+def _require_rows(ok: np.ndarray, message: str, rows: np.ndarray | None = None) -> None:
+    # Raise ValueError(message) if a row fails, with the first as ``row`` (mapped by ``rows``).
+    if not ok.all():
+        row = int(np.argmin(ok))
+        err = ValueError(message)
+        err.row = row if rows is None else int(rows[row])
+        raise err
+
+
+def _require_unit_rows(p_norm: np.ndarray, rows: np.ndarray | None = None) -> None:
+    _require_rows(abs(_row_norms(p_norm) - 1.0) <= _UNIT_NORM_TOL,
+                  "p_normalized must have unit 2-norm", rows)
 
 
 class Method(str, enum.Enum):
@@ -97,7 +115,7 @@ class Beamformer:
         object.__setattr__(self, "p_normalized", p)
         if p.ndim != 1:
             raise ValueError("p_normalized must be 1-D")
-        if abs(_norm(p) - 1.0) > 1e-12:
+        if not abs(_norm(p) - 1.0) <= _UNIT_NORM_TOL:
             raise ValueError("p_normalized must have unit 2-norm")
         if not self.lam > 0.0:
             raise ValueError("lam must be positive")
@@ -156,16 +174,14 @@ def lambda_from_normalized(p_norm: np.ndarray, g: np.ndarray, params: SystemPara
 
     lam = sqrt(P_I / (P_S * sum|p~(n) g(n)|^2 + sigma_I^2 * sum|p~(n)|^2)).
 
-    With this scale the power reflected by the IRS equals P_I exactly.
+    With this scale the power reflected by the IRS equals P_I exactly. The
+    direction's 2-norm must be within the shared ``_UNIT_NORM_TOL`` (1e-12) of 1.
     """
     p_norm = np.asarray(p_norm, dtype=np.complex128)
     g = np.asarray(g, dtype=np.complex128)
     if p_norm.shape != g.shape:
         raise ValueError("p_norm and g must have equal length")
-    nrm = _norm(p_norm)
-    if nrm == 0.0:
-        raise ValueError("p_norm must be nonzero")
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(_norm(p_norm) - 1.0) <= _UNIT_NORM_TOL:
         raise ValueError("p_norm must have unit 2-norm")
     signal = (np.abs(p_norm * g) ** 2).sum()
     noise = (np.abs(p_norm) ** 2).sum()
@@ -188,8 +204,7 @@ def egr_batch(g: np.ndarray, f: np.ndarray,
     n = g.shape[1]
     theta = np.angle(np.multiply(f, np.conj(g)))
     p_norm = np.exp(np.multiply(1j, theta)) / math.sqrt(n)
-    _require_rows(np.abs(_row_norms(p_norm) - 1.0) <= 1e-12,
-                  "p_normalized must have unit 2-norm")
+    _require_unit_rows(p_norm)
     lam = np.sqrt(params.p_i * n
                   / (params.p_s * np.sum(np.abs(g) ** 2, axis=1) + n * params.sigma_i_sq))
     _require_rows(lam > 0.0, "lam must be positive")
@@ -283,8 +298,7 @@ def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int) -> MatchedBat
     _require_rows(nrm != 0.0, "selected product channels are identically zero")
     phase = np.array([_direct_phase_factor(x) for x in h.tolist()])
     p_norm = np.multiply(np.divide(w, nrm[:, None]), phase[:, None])
-    _require_rows(np.abs(_row_norms(p_norm) - 1.0) <= 1e-12,
-                  "p_normalized must have unit 2-norm")
+    _require_unit_rows(p_norm)
     s2 = np.sum(np.abs(np.multiply(g_sel, f_sel)) ** 2, axis=1)
     s4 = np.sum(np.abs(f_sel) ** 2 * np.abs(g_sel) ** 4, axis=1)
     return MatchedBatch(p_norm, s2, s4)
@@ -391,15 +405,11 @@ def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemPa
     amp_noise = params.sigma_i_sq * np.abs(f) ** 2
     for it in range(1, opts.max_iterations + 1):
         p_norm = _asnr_directions(g, f, amp_noise, phase, lam, params, rows)
-        _require_rows(np.abs(_row_norms(p_norm) - 1.0) <= 1e-12,
-                      "p_normalized must have unit 2-norm", rows)
+        _require_unit_rows(p_norm, rows)
         signal = (np.abs(np.multiply(p_norm, g)) ** 2).sum(axis=1)
         noise = (np.abs(p_norm) ** 2).sum(axis=1)
         new_lam = np.sqrt(params.p_i / (params.p_s * signal + params.sigma_i_sq * noise))
         _require_rows(new_lam > 0.0, "lam must be positive", rows)
-        # No row mapping: rate_batch's checks cannot fire on a validated
-        # SystemParams, whose noise denominator is at least sigma_u^2 > 0 and
-        # whose SNR is P_S |.|^2 over it.
         rates = metrics.rate_batch(np.multiply(new_lam[:, None], p_norm), g, f, h, params)
         for row, rec in zip(rows.tolist(), zip(new_lam.tolist(), rates.tolist())):
             records[row].append(rec)
@@ -447,6 +457,5 @@ def passive_aligned_batch(g: np.ndarray, f: np.ndarray,
     theta = np.angle(np.multiply(f, np.conj(g)))
     phi = np.array([cmath.phase(x) if x != 0 else 0.0 for x in h.tolist()])
     p_norm = np.exp(np.multiply(1j, theta - phi[:, None])) / math.sqrt(n)
-    _require_rows(np.abs(_row_norms(p_norm) - 1.0) <= 1e-12,
-                  "p_normalized must have unit 2-norm")
+    _require_unit_rows(p_norm)
     return p_norm, np.full(t, math.sqrt(n))

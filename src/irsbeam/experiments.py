@@ -92,7 +92,7 @@ class _Naming:
     ``RuntimeError("trial <t> failed[ for method <m>]: <message>")``. Around
     a batch of trials, ``first`` is the run index of its first trial: an
     error that a batch kernel raises for one of its rows carries that row
-    as ``row`` (``metrics._require_rows``), and t is ``first + row``; an
+    as ``row`` (``beamforming._require_rows``), and t is ``first + row``; an
     error tied to no row names ``first``. It is a class, not a
     ``contextlib.contextmanager``: it runs once per trial and design, and
     the generator costs about three times as much per use."""

@@ -6,6 +6,9 @@ no dense N x N matrix is ever formed.
 
 Each function accepts either a designed ``Beamformer`` or a raw complex
 coefficient vector p (in which case the scale is taken as ||p||).
+
+The SNR evaluators rely on ``SystemParams``: its sigma_u^2 > 0 bounds the SNR
+denominator below, so they raise nothing for a validated parameter set.
 """
 
 from __future__ import annotations
@@ -57,11 +60,10 @@ def _reflected_sum(p: np.ndarray, ch: ChannelRealization) -> complex:
 
 
 def snr(bf_or_p, ch: ChannelRealization, params: SystemParams) -> float:
-    """P_S |h* + f^H G p|^2 / (sigma_I^2 p^H F F^H p + sigma_u^2)."""
+    """P_S |h* + f^H G p|^2 / (sigma_I^2 p^H F F^H p + sigma_u^2), never
+    negative: the denominator is at least sigma_u^2 > 0 (``SystemParams``)."""
     p = _coefficients(bf_or_p)
     den = float(params.sigma_i_sq * (np.abs(ch.f * p) ** 2).sum() + params.sigma_u_sq)
-    if den == 0.0:
-        raise ZeroDivisionError("total noise power is zero")
     num = params.p_s * abs(ch.h.conjugate() + _reflected_sum(p, ch)) ** 2
     return num / den
 
@@ -73,22 +75,12 @@ def rate(snr_value: float) -> float:
     return math.log2(1.0 + snr_value)
 
 
-def _require_rows(ok: np.ndarray, message: str, rows: np.ndarray | None = None,
-                  error: type[Exception] = ValueError) -> None:
-    # Raise the message if a row fails; the error carries the first failing
-    # row as ``row``: its index in ``ok``, or that entry of ``rows``.
-    if not ok.all():
-        row = int(np.argmin(ok))
-        err = error(message)
-        err.row = row if rows is None else int(rows[row])
-        raise err
-
-
 def rate_batch(p: np.ndarray, g: np.ndarray, f: np.ndarray, h: np.ndarray,
                params: SystemParams) -> np.ndarray:
     """``rate(snr(p[t], ch_t, params))`` for every row t of (T, N)
     coefficients ``p`` and channels ``g``, ``f`` with (T,) direct channels
-    ``h``, equal to the scalar path bit for bit.
+    ``h``, equal to the scalar path bit for bit; like ``snr``, it raises
+    nothing for a validated ``SystemParams``.
 
     The scalar path takes |.| with Python's ``abs`` (libm ``hypot``) and
     squares and logs Python floats with ``**`` and ``math.log2`` (libm
@@ -97,11 +89,9 @@ def rate_batch(p: np.ndarray, g: np.ndarray, f: np.ndarray, h: np.ndarray,
     """
     den = params.sigma_i_sq * np.sum(np.abs(np.multiply(f, p)) ** 2, axis=1) \
         + params.sigma_u_sq
-    _require_rows(den != 0.0, "total noise power is zero", error=ZeroDivisionError)
     s = np.conj(h) + np.sum(np.multiply(np.multiply(np.conj(f), g), p), axis=1)
     magnitude = np.hypot(s.real, s.imag)
     snr_values = params.p_s * np.array([m ** 2 for m in magnitude.tolist()]) / den
-    _require_rows(~(snr_values < 0.0), "snr must be nonnegative")
     return np.array([math.log2(1.0 + x) for x in snr_values.tolist()])
 
 

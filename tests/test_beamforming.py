@@ -67,10 +67,17 @@ class TestLambdaFromNormalized:
     def test_rejects_zero_and_unnormalized(self):
         params = make_params(n_elements=2)
         g = np.array([1.0, 1.0j])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unit 2-norm"):
             lambda_from_normalized(np.zeros(2, complex), g, params)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unit 2-norm"):
             lambda_from_normalized(np.array([1.0, 1.0]), g, params)
+        with pytest.raises(ValueError, match="unit 2-norm"):
+            lambda_from_normalized(np.array([1.0, np.nan]), g, params)
+        # 1e-10 off: outside the shared 1e-12 tolerance.
+        with pytest.raises(ValueError, match="unit 2-norm"):
+            lambda_from_normalized(np.array([1.0 + 1e-10, 0.0]), g, params)
+        with pytest.raises(ValueError, match="equal length"):
+            lambda_from_normalized(np.array([1.0]), g, params)
 
 
 class TestEgr:
@@ -509,4 +516,6 @@ class TestBeamformerInvariants:
             Beamformer(ok, 0.0)
         with pytest.raises(ValueError, match="1-D"):
             Beamformer(ok[None, :], 1.0)
+        with pytest.raises(ValueError, match="unit 2-norm"):
+            Beamformer(np.array([1.0, np.nan], dtype=complex), 1.0)
         assert Beamformer(ok, 1.0).lam == 1.0

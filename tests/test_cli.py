@@ -124,6 +124,10 @@ def test_config_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, trials=0)
     assert main(["single", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+    (tmp_path / "config.json").write_text("[]")
+    assert main(["single", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+    assert "config error: config document must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_unknown_key_exit_code(tmp_path):

@@ -77,6 +77,9 @@ class TestValidation:
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{not json")
+        for doc in ("[]", "3", "null"):
+            with pytest.raises(ConfigError, match="^config document must be a JSON object$"):
+                parse_config(doc)
 
     def test_repeated_key_names_key(self):
         with pytest.raises(ConfigError, match="^trials: repeated"):

@@ -32,7 +32,7 @@ from irsbeam import (
     trial_seed,
 )
 from irsbeam import experiments
-from irsbeam.metrics import _require_rows
+from irsbeam.beamforming import _require_rows
 from irsbeam.experiments import (
     CONVERGENCE_HEADER,
     ORACLE_CHECK_HEADER,
@@ -68,6 +68,10 @@ class TestMonteCarlo:
         with pytest.raises(RuntimeError,
                            match=r"^trial 0 failed for method srr: k must be in \[1, 4\], got None$"):
             monte_carlo_rates(Method.SRR, params, 2, 9)
+
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            monte_carlo_rates(Method.MRR, SystemParams.default(4), 0, 9)
 
 
 def _scalar_rate(method, params, master_seed, t, k, solver=None):

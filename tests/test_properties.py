@@ -290,7 +290,10 @@ _LEVELS = st.one_of(st.floats(-3100.0, 3300.0), st.floats(-400.0, 400.0))
 def test_accepted_power_levels_run_to_finite_outputs(levels, ref_loss_db, n, scenario):
     """A config whose power levels and noise floors pass parse_config runs
     every design on its draws without an error, a warning or a non-finite
-    value in its rows, however far the levels sit from the reference."""
+    value in its rows, however far the levels sit from the reference. Every
+    rate column is nonnegative: a validated ``SystemParams`` keeps the SNR
+    denominator at least sigma_u^2 > 0, so no SNR is negative (only
+    ``gap_bits``, a difference of rates, may be)."""
     doc = {**levels, "ref_loss_db": ref_loss_db, "trials": 2,
            "n_values": [min(n, 2) if scenario == "oracle-check" else n]}
     if scenario == "srr-sweep":
@@ -299,8 +302,12 @@ def test_accepted_power_levels_run_to_finite_outputs(levels, ref_loss_db, n, sce
         cfg = parse_config(json.dumps(doc), scenario=scenario)
     except ConfigError:
         return
-    rows = rows_of(_RUNNERS[scenario](cfg).table)
+    result = _RUNNERS[scenario](cfg)
+    rows = rows_of(result.table)
     assert np.isfinite([v for row in rows for v in row if isinstance(v, float)]).all()
+    rate_columns = [i for i, name in enumerate(result.header) if name.endswith("rate_bits")]
+    assert rate_columns
+    assert all(row[i] >= 0.0 for row in rows for i in rate_columns)
 
 
 # Arbitrary JSON values: null, bools, strings, small and 401-digit integers,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from irsbeam import (
+    ChannelRealization,
     SystemParams,
     dbm_to_watts,
     node_distances,
@@ -222,6 +223,12 @@ class TestSampleChannels:
         ch = sample_channels(params, 1)
         assert ch.g.shape == (5,) and ch.f.shape == (5,)
         assert ch.n_elements == 5
+        for g, f in ((ch.g[None], ch.f[None]), (ch.g, ch.f[:4])):
+            with pytest.raises(ValueError, match="1-D vectors of equal length"):
+                ChannelRealization(g=g, f=f, h=ch.h)
+        for h in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+            with pytest.raises(ValueError, match="channel entries must be finite"):
+                ChannelRealization(g=ch.g, f=ch.f, h=h)
 
 
     @pytest.mark.parametrize("n", [1, 3, 64])
@@ -267,6 +274,9 @@ class TestTrialSeed:
         for master, stream in ((2**64, 0), (-1, 0), (1, 2**32), (1, -1)):
             with pytest.raises(ValueError, match=r"master_seed must be in \[0, 2\*\*64\)"):
                 trial_seeds(master, [0], stream)
+        for args in ((-1, 0), (1, -1), (1, 0, -1)):
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                trial_seed(*args)
         assert trial_seeds(5, range(0)) == []
 
 
