@@ -11,15 +11,14 @@ P_I. Methods:
 * ``srr``   - MRR restricted to the K strongest product channels.
 * ``max_asnr`` - alternating iteration between the noise-whitened matched
               direction (for the current scale) and the budget-feasible
-              scale (for the current direction); ``max_asnr_batch`` runs
-              it on a batch of draws, bit-identical to ``max_asnr`` row by
-              row.
+              scale (for the current direction).
 * ``random_phase`` / ``passive_aligned`` - sanity baselines.
 
-``egr``, ``srr`` and ``passive_aligned`` are one-row calls of their batch
-kernels ``egr_batch``, ``srr_batch`` and ``passive_aligned_batch``, which
-design every row of a batch of draws at once. ``mrr`` keeps its own
-scalar body, which ``srr_batch`` at k = N equals row by row, bit for bit.
+``egr``, ``mrr``, ``srr`` and ``passive_aligned`` are one-row calls of
+their batch kernels ``egr_batch``, ``srr_batch`` (at k = N for ``mrr``) and
+``passive_aligned_batch``, which design every row of a batch of draws at
+once. Only ``max_asnr`` keeps a scalar body: the reference that
+``max_asnr_batch`` equals row by row, bit for bit.
 """
 
 from __future__ import annotations
@@ -135,16 +134,14 @@ class TraceRecord:
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceTrace:
-    """Per-iteration record of the alternating iteration.
+    """Per-iteration record of the alternating iteration on ``channel``.
 
-    ``iterates`` holds the beamformer of every pass on ``channel``, iterate
-    0 being the initialization (the MRR scale and beamformer); the
-    ``converged`` flag is False when the loop hit max_iterations without
-    meeting the stopping rule. The rates in ``records`` are computed the
-    first time it is read; ``iterations`` and ``converged`` do not need them.
+    ``passes`` holds the beamformer of every direction/scale update, and
+    ``converged`` is False when the loop hit max_iterations without meeting
+    the stopping rule. ``iterates`` and ``records`` are computed on first read.
     """
 
-    iterates: tuple[Beamformer, ...]
+    passes: tuple[Beamformer, ...]
     channel: ChannelRealization
     params: SystemParams
     converged: bool
@@ -152,7 +149,12 @@ class ConvergenceTrace:
     @property
     def iterations(self) -> int:
         """Number of direction/scale updates performed."""
-        return len(self.iterates) - 1
+        return len(self.passes)
+
+    @cached_property
+    def iterates(self) -> tuple[Beamformer, ...]:
+        """The ``mrr`` start, then the beamformer of every pass."""
+        return (mrr(self.channel, self.params),) + self.passes
 
     @cached_property
     def records(self) -> tuple[TraceRecord, ...]:
@@ -169,6 +171,18 @@ def _direct_phase_factor(h: complex) -> complex:
     return h.conjugate() / abs(h)
 
 
+def _direct_phase_factors(h: np.ndarray) -> np.ndarray:
+    # _direct_phase_factor of every entry of the (T,) direct channels h.
+    return np.array([_direct_phase_factor(x) for x in h.tolist()])
+
+
+def _budget_scale(p_norm: np.ndarray, g: np.ndarray, params: SystemParams) -> np.ndarray:
+    # lambda_from_normalized along the last axis, without its checks.
+    signal = (np.abs(np.multiply(p_norm, g)) ** 2).sum(axis=-1)
+    noise = (np.abs(p_norm) ** 2).sum(axis=-1)
+    return np.sqrt(params.p_i / (params.p_s * signal + params.sigma_i_sq * noise))
+
+
 def lambda_from_normalized(p_norm: np.ndarray, g: np.ndarray, params: SystemParams) -> float:
     """Budget-feasible scale for a unit direction:
 
@@ -183,9 +197,7 @@ def lambda_from_normalized(p_norm: np.ndarray, g: np.ndarray, params: SystemPara
         raise ValueError("p_norm and g must have equal length")
     if not abs(_norm(p_norm) - 1.0) <= _UNIT_NORM_TOL:
         raise ValueError("p_norm must have unit 2-norm")
-    signal = (np.abs(p_norm * g) ** 2).sum()
-    noise = (np.abs(p_norm) ** 2).sum()
-    return math.sqrt(params.p_i / (params.p_s * signal + params.sigma_i_sq * noise))
+    return float(_budget_scale(p_norm, g, params))
 
 
 def egr(ch: ChannelRealization, params: SystemParams) -> Beamformer:
@@ -212,20 +224,9 @@ def egr_batch(g: np.ndarray, f: np.ndarray,
 
 
 def mrr(ch: ChannelRealization, params: SystemParams) -> Beamformer:
-    """Ratio-matched reflecting: p~ proportional to g* o f, rotated by
-    exp(-j arg(h)) so the reflected sum adds in phase with the direct path.
-    The scale is the closed form lam = sqrt(P_I S2 / (P_S S4 + sigma_I^2 S2))
-    with S2 = sum |g f|^2 and S4 = sum |f|^2 |g|^4."""
-    g, f = ch.g, ch.f
-    w = np.conj(g) * f
-    nrm = _norm(w)
-    if nrm == 0.0:
-        raise ValueError("product channel g* o f is identically zero")
-    p_norm = (w / nrm) * _direct_phase_factor(ch.h)
-    s2 = float((np.abs(g * f) ** 2).sum())
-    s4 = float((np.abs(f) ** 2 * np.abs(g) ** 4).sum())
-    lam = math.sqrt(params.p_i * s2 / (params.p_s * s4 + params.sigma_i_sq * s2))
-    return Beamformer(p_norm, lam)
+    """Ratio-matched reflecting, ``srr`` at k = N: p~ proportional to g* o f,
+    rotated by exp(-j arg(h)) to add in phase with the direct path."""
+    return srr(ch, params, ch.n_elements)
 
 
 def srr(ch: ChannelRealization, params: SystemParams, k: int) -> Beamformer:
@@ -245,6 +246,17 @@ def _row_norms(w: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[:, 0, 0])
 
 
+def _matched_sums(g: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # S2 = sum |g f|^2 and S4 = sum |f|^2 |g|^4 along the last axis.
+    return (np.sum(np.abs(np.multiply(g, f)) ** 2, axis=-1),
+            np.sum(np.abs(f) ** 2 * np.abs(g) ** 4, axis=-1))
+
+
+def _matched_scale(s2: np.ndarray, s4: np.ndarray, params: SystemParams) -> np.ndarray:
+    # The budget-feasible scale sqrt(P_I S2 / (P_S S4 + sigma_I^2 S2)) of a matched design.
+    return np.sqrt(params.p_i * s2 / (params.p_s * s4 + params.sigma_i_sq * s2))
+
+
 @dataclass(frozen=True)
 class MatchedBatch:
     """``srr`` designed on every row of a batch of draws, before the budget.
@@ -260,8 +272,7 @@ class MatchedBatch:
 
     def lam(self, params: SystemParams) -> np.ndarray:
         """Budget-feasible scale of every row, equal to ``srr(...).lam``."""
-        lam = np.sqrt(params.p_i * self.s2
-                      / (params.p_s * self.s4 + params.sigma_i_sq * self.s2))
+        lam = _matched_scale(self.s2, self.s4, params)
         _require_rows(lam > 0.0, "lam must be positive")
         return lam
 
@@ -270,13 +281,10 @@ def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int) -> MatchedBat
     """``srr`` on the rows of (T, N) channels ``g``, ``f`` and (T,) direct
     channels ``h`` at once; k = N gives ``mrr``.
 
-    Each row repeats the scalar design of one draw, in its operand order:
-    the selection is gathered in ascending index order, then ``mrr``'s
-    steps run on it. So every row equals that scalar result bit for bit,
-    and ``mrr``'s at k = N: norms are the BLAS dot products that
-    ``np.linalg.norm`` takes, and complex products are written as
-    ``np.multiply`` calls, since numpy may swap the operands of ``a * b``
-    on large temporaries.
+    Each row is the same bits however many rows the batch holds: selections
+    are gathered in ascending index order, norms are the BLAS dot products
+    of ``np.linalg.norm``, and complex products are ``np.multiply`` calls,
+    since numpy may swap the operands of ``a * b`` on large temporaries.
     """
     t, n = g.shape
     if k is None or not 1 <= k <= n:
@@ -296,12 +304,9 @@ def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int) -> MatchedBat
         g_sel, f_sel = g_sel.reshape(t, k), f_sel.reshape(t, k)
     nrm = _row_norms(w)
     _require_rows(nrm != 0.0, "selected product channels are identically zero")
-    phase = np.array([_direct_phase_factor(x) for x in h.tolist()])
-    p_norm = np.multiply(np.divide(w, nrm[:, None]), phase[:, None])
+    p_norm = np.multiply(np.divide(w, nrm[:, None]), _direct_phase_factors(h)[:, None])
     _require_unit_rows(p_norm)
-    s2 = np.sum(np.abs(np.multiply(g_sel, f_sel)) ** 2, axis=1)
-    s4 = np.sum(np.abs(f_sel) ** 2 * np.abs(g_sel) ** 4, axis=1)
-    return MatchedBatch(p_norm, s2, s4)
+    return MatchedBatch(p_norm, *_matched_sums(g_sel, f_sel))
 
 
 def asnr_direction(ch: ChannelRealization, params: SystemParams, lam: float) -> np.ndarray:
@@ -326,25 +331,25 @@ def max_asnr(ch: ChannelRealization, params: SystemParams,
     """Alternating scale/direction iteration, initialized at the MRR scale.
 
     Each pass recomputes the whitened matched direction for the current
-    scale, then the budget-feasible scale for that direction, stopping
-    when the relative scale change drops below ``opts.tolerance``. A run
-    that exhausts ``max_iterations`` is returned with the trace flagged
-    unconverged rather than raised.
+    scale, then the budget-feasible scale for that direction, stopping when
+    the relative scale change drops below ``opts.tolerance``. A run that
+    exhausts ``max_iterations`` is flagged unconverged, not raised. The MRR
+    beamformer is built only if the trace's ``iterates`` are read.
     """
-    bf = mrr(ch, params)
-    lam = bf.lam
-    iterates = [bf]
-    converged = False
+    s2, s4 = _matched_sums(ch.g, ch.f)
+    _require_rows(s2 > 0.0, "selected product channels are identically zero")
+    # A Python float, so that asnr_direction squares it with libm pow.
+    lam = float(_matched_scale(s2, s4, params))
+    passes = []
     for _ in range(opts.max_iterations):
         p_norm = asnr_direction(ch, params, lam)
-        new_lam = lambda_from_normalized(p_norm, ch.g, params)
-        bf = Beamformer(p_norm, new_lam)
-        iterates.append(bf)
-        if abs(new_lam - lam) / lam <= opts.tolerance:
-            converged = True
+        new_lam = float(_budget_scale(p_norm, ch.g, params))
+        passes.append(Beamformer(p_norm, new_lam))
+        converged = abs(new_lam - lam) / lam <= opts.tolerance
+        if converged:
             break
         lam = new_lam
-    return bf, ConvergenceTrace(tuple(iterates), ch, params, converged)
+    return passes[-1], ConvergenceTrace(tuple(passes), ch, params, converged)
 
 
 @dataclass(frozen=True)
@@ -384,10 +389,9 @@ def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemPa
     Each pass runs on the rows still active. A row leaves the active set
     as soon as its own stopping rule fires or it reaches
     ``max_iterations``, so every row keeps the scalar iteration count.
-    The steps repeat ``asnr_direction`` and ``lambda_from_normalized`` in
-    their operand order, as ``srr_batch`` repeats ``mrr``: the square of
-    the scale is taken on Python floats (libm ``pow``), norms are the dot
-    products ``np.linalg.norm`` takes, and complex products are
+    The direction step repeats ``asnr_direction`` in its operand order:
+    the square of the scale is taken on Python floats (libm ``pow``), norms
+    are the dot products ``np.linalg.norm`` takes, and complex products are
     ``np.multiply`` calls.
     """
     t, n = g.shape
@@ -398,17 +402,14 @@ def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemPa
     # Rows of the start's directions are overwritten as their trials end.
     p_final, lam_final = start.p_normalized, lam.copy()
     converged = np.zeros(t, dtype=bool)
-
-    phase = np.array([_direct_phase_factor(x) for x in h.tolist()])
+    phase = _direct_phase_factors(h)
     # Per active row: its index in the batch and everything a pass reads.
     rows = np.arange(t)
     amp_noise = params.sigma_i_sq * np.abs(f) ** 2
     for it in range(1, opts.max_iterations + 1):
         p_norm = _asnr_directions(g, f, amp_noise, phase, lam, params, rows)
         _require_unit_rows(p_norm, rows)
-        signal = (np.abs(np.multiply(p_norm, g)) ** 2).sum(axis=1)
-        noise = (np.abs(p_norm) ** 2).sum(axis=1)
-        new_lam = np.sqrt(params.p_i / (params.p_s * signal + params.sigma_i_sq * noise))
+        new_lam = _budget_scale(p_norm, g, params)
         _require_rows(new_lam > 0.0, "lam must be positive", rows)
         rates = metrics.rate_batch(np.multiply(new_lam[:, None], p_norm), g, f, h, params)
         for row, rec in zip(rows.tolist(), zip(new_lam.tolist(), rates.tolist())):
@@ -435,8 +436,7 @@ def random_phase(ch: ChannelRealization, params: SystemParams, seed: int) -> Bea
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 2.0 * math.pi, n)
     p_norm = np.exp(1j * u) / math.sqrt(n)
-    lam = lambda_from_normalized(p_norm, ch.g, params)
-    return Beamformer(p_norm, lam)
+    return Beamformer(p_norm, float(_budget_scale(p_norm, ch.g, params)))
 
 
 def passive_aligned(ch: ChannelRealization, params: SystemParams) -> Beamformer:

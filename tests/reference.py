@@ -1,12 +1,13 @@
 """Scalar designs as they were first written, one draw at a time.
 
-``irsbeam.egr``, ``irsbeam.srr`` and ``irsbeam.passive_aligned`` are
-one-row calls of the batch kernels ``egr_batch``, ``srr_batch`` and
+``irsbeam.egr``, ``irsbeam.mrr``, ``irsbeam.srr`` and
+``irsbeam.passive_aligned`` are one-row calls of the batch kernels
+``egr_batch``, ``srr_batch`` (at k = N for ``mrr``) and
 ``passive_aligned_batch``, which must return the same bits; these bodies
-are kept unchanged as the reference they are held to. ``design`` picks a
-scalar design by method tag, with these three bodies for ``egr``, ``srr``
-and ``passive_aligned``, so that rates can be recomputed one (method,
-trial) at a time.
+are kept unchanged as the reference they are held to, ``srr`` at k = N
+being ``mrr``'s. ``design`` picks a scalar design by method tag, with
+these bodies for ``egr``, ``mrr``, ``srr`` and ``passive_aligned``, so
+that rates can be recomputed one (method, trial) at a time.
 """
 
 import cmath
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from irsbeam import Beamformer, Method, SolverOptions, max_asnr, mrr, random_phase
+from irsbeam import Beamformer, Method, SolverOptions, max_asnr, random_phase
 from irsbeam.beamforming import _direct_phase_factor
 from irsbeam.metrics import _norm
 
@@ -74,7 +75,7 @@ def design(method, ch, params, k=None, solver=None, phase_seed=None):
     if method is Method.EGR:
         return egr(ch, params)
     if method is Method.MRR:
-        return mrr(ch, params)
+        return srr(ch, params, ch.n_elements)
     if method is Method.SRR:
         return srr(ch, params, k)
     if method is Method.MAX_ASNR:

@@ -140,8 +140,17 @@ class TestMrr:
         assert np.angle(total * ch.h) == pytest.approx(0.0, abs=1e-9)
 
     def test_rejects_zero_product_channel(self):
-        with pytest.raises(ValueError, match="product channel g\\* o f is identically zero"):
+        with pytest.raises(ValueError, match="selected product channels are identically zero"):
             mrr(channel([0.0, 1.0], [1.0, 0.0], 1.0), make_params())
+
+    def test_max_asnr_rejects_zero_product_channel_as_mrr_does(self):
+        # max_asnr starts at the MRR scale: it fails with the message of mrr
+        # and max_asnr_batch, before a division could warn.
+        ch = channel([0.0, 1.0], [1.0, 0.0], 1.0)
+        for design in (max_asnr, lambda ch, params: max_asnr_batch(
+                ch.g[None], ch.f[None], np.array([ch.h]), params)):
+            with pytest.raises(ValueError, match="selected product channels are identically zero"):
+                design(ch, make_params())
 
     def test_closed_form_scale_matches_generic(self, rng):
         for _ in range(100):
@@ -364,17 +373,27 @@ class TestMaxAsnr:
         assert trace.records[0].lam == pytest.approx(mrr(ch, params).lam, rel=1e-12)
 
     def test_trace_rates_are_computed_on_first_read(self, monkeypatch):
+        # So is iterate 0, the mrr start: the run itself needs only its scale.
         import irsbeam.metrics
         params = SystemParams.default(16)
+        starts = []
+        monkeypatch.setattr(beamforming, "mrr",
+                            lambda *args: starts.append(args) or mrr(*args))
         ch = sample_channels(params, 44)
         bf, trace = max_asnr(ch, params)
         evaluate, calls = irsbeam.metrics.snr, []
         monkeypatch.setattr(irsbeam.metrics, "snr",
                             lambda *args: calls.append(args) or evaluate(*args))
-        assert trace.converged and trace.iterations == len(trace.iterates) - 1
-        assert calls == []
-        assert trace.iterates[-1] is bf and trace.iterates[0].lam == mrr(ch, params).lam
+        assert trace.converged and trace.iterations >= 1
+        assert calls == [] and starts == []
+        assert trace.iterations == len(trace.iterates) - 1 and len(starts) == 1
+        start, reference = trace.iterates[0], mrr(ch, params)
+        assert start.p_normalized.tobytes() == reference.p_normalized.tobytes()
+        assert np.float64(start.lam).tobytes() == np.float64(reference.lam).tobytes()
+        assert trace.iterates[-1] is bf
+        assert all(a is b for a, b in zip(trace.iterates[1:], trace.passes, strict=True))
         records = trace.records
+        assert trace.iterates[0] is start and len(starts) == 1
         assert trace.records is records and len(calls) == len(trace.iterates)
         assert records == tuple(
             TraceRecord(it, it_bf.lam, rate(evaluate(it_bf, ch, params)))

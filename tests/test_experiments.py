@@ -337,7 +337,7 @@ class TestMemoryBound:
         assert self._peak_mb(run_srr_sweep, cfg) < 16
 
     def test_rate_vs_n_at_large_n(self):
-        # One trial per block: 12 MB measured, the scalar max_asnr's iterates
+        # One trial per block: 11 MB measured, the scalar max_asnr's passes
         # included; the 4 trials stacked in one block peaked at 37 MB.
         cfg = small_config("rate-vs-n", n_values=[65536], trials=4)
         assert self._peak_mb(run_rate_vs_n, cfg) < 20
@@ -357,7 +357,9 @@ class TestRateVsNRun:
     def test_snr_is_evaluated_once_per_design(self, monkeypatch):
         # Each cell's rates come from one rate_batch call per block, one row
         # per design. No scalar snr or rate call is made, so max_asnr's
-        # trace records, whose rates would need them, are never computed.
+        # trace records, whose rates would need them, are never computed;
+        # nor is its mrr start, of which the iteration needs only the scale.
+        from irsbeam import beamforming
         from irsbeam import metrics
         evaluate, calls = metrics.rate_batch, []
 
@@ -368,6 +370,7 @@ class TestRateVsNRun:
         monkeypatch.setattr(metrics, "rate_batch", counted)
         monkeypatch.setattr(metrics, "snr", _refused)
         monkeypatch.setattr(metrics, "rate", _refused)
+        monkeypatch.setattr(beamforming, "mrr", _refused)
         # Blocks of 4 trials at N = 4 and of 2 at N = 8.
         monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 16)
         run_rate_vs_n(small_config("rate-vs-n", n_values=[4, 8], trials=5))
