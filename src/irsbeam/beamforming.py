@@ -33,7 +33,7 @@ import numpy as np
 
 from .system import ChannelRealization, SystemParams
 from . import metrics
-from .metrics import _norm
+from .metrics import _norm, _reflected_rows
 
 __all__ = [
     "Method",
@@ -178,9 +178,7 @@ def _direct_phase_factors(h: np.ndarray) -> np.ndarray:
 
 def _budget_scale(p_norm: np.ndarray, g: np.ndarray, params: SystemParams) -> np.ndarray:
     # lambda_from_normalized along the last axis, without its checks.
-    signal = (np.abs(np.multiply(p_norm, g)) ** 2).sum(axis=-1)
-    noise = (np.abs(p_norm) ** 2).sum(axis=-1)
-    return np.sqrt(params.p_i / (params.p_s * signal + params.sigma_i_sq * noise))
+    return np.sqrt(params.p_i / _reflected_rows(p_norm, g, params))
 
 
 def lambda_from_normalized(p_norm: np.ndarray, g: np.ndarray, params: SystemParams) -> float:
@@ -309,6 +307,19 @@ def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int) -> MatchedBat
     return MatchedBatch(p_norm, *_matched_sums(g_sel, f_sel))
 
 
+def _asnr_step(w: np.ndarray, amp_noise: np.ndarray, phase: complex, lam: float,
+               params: SystemParams) -> np.ndarray:
+    # asnr_direction given w = g* o f, amp_noise = sigma_I^2 |f|^2 and the
+    # direct-path factor, none of which changes between max_asnr's passes.
+    if not lam > 0.0:
+        raise ValueError("lam must be positive")
+    w = w / (amp_noise + params.sigma_u_sq / lam**2)
+    nrm = _norm(w)
+    if nrm == 0.0:
+        raise ValueError("product channel g* o f is identically zero")
+    return (w / nrm) * phase
+
+
 def asnr_direction(ch: ChannelRealization, params: SystemParams, lam: float) -> np.ndarray:
     """Optimal unit direction for a fixed scale.
 
@@ -316,14 +327,8 @@ def asnr_direction(ch: ChannelRealization, params: SystemParams, lam: float) -> 
     the n-th entry is proportional to exp(-j arg(h)) g(n)* f(n) / D(n), so
     the reflected sum adds in phase with the direct path.
     """
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    d = params.sigma_i_sq * np.abs(ch.f) ** 2 + params.sigma_u_sq / lam**2
-    w = np.conj(ch.g) * ch.f / d
-    nrm = _norm(w)
-    if nrm == 0.0:
-        raise ValueError("product channel g* o f is identically zero")
-    return (w / nrm) * _direct_phase_factor(ch.h)
+    return _asnr_step(np.conj(ch.g) * ch.f, params.sigma_i_sq * np.abs(ch.f) ** 2,
+                      _direct_phase_factor(ch.h), lam, params)
 
 
 def max_asnr(ch: ChannelRealization, params: SystemParams,
@@ -338,11 +343,13 @@ def max_asnr(ch: ChannelRealization, params: SystemParams,
     """
     s2, s4 = _matched_sums(ch.g, ch.f)
     _require_rows(s2 > 0.0, "selected product channels are identically zero")
-    # A Python float, so that asnr_direction squares it with libm pow.
+    # A Python float, so that the direction step squares it with libm pow.
     lam = float(_matched_scale(s2, s4, params))
+    w, amp_noise = np.conj(ch.g) * ch.f, params.sigma_i_sq * np.abs(ch.f) ** 2
+    phase = _direct_phase_factor(ch.h)
     passes = []
     for _ in range(opts.max_iterations):
-        p_norm = asnr_direction(ch, params, lam)
+        p_norm = _asnr_step(w, amp_noise, phase, lam, params)
         new_lam = float(_budget_scale(p_norm, ch.g, params))
         passes.append(Beamformer(p_norm, new_lam))
         converged = abs(new_lam - lam) / lam <= opts.tolerance

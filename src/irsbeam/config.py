@@ -124,10 +124,16 @@ def _watts(key: str, value) -> float:
     return watts
 
 
+def _distinct(key: str, value: list, entries: tuple) -> tuple:
+    # A repeated grid entry would repeat its rows in the output.
+    _require(len(set(entries)) == len(entries), key, f"entries must be distinct, got {value!r}")
+    return entries
+
+
 def _int_list(key: str, value) -> tuple[int, ...]:
     ok = isinstance(value, list) and value and all(type(v) is int for v in value)
     _require(ok, key, f"expected a non-empty list of integers, got {value!r}")
-    return tuple(value)
+    return _distinct(key, value, tuple(value))
 
 
 def _dbm_list(key: str, value) -> tuple[float, ...]:
@@ -135,7 +141,7 @@ def _dbm_list(key: str, value) -> tuple[float, ...]:
     _require(ok, key, f"expected a non-empty list of finite numbers, got {value!r}")
     for level in value:
         _watts(key, level)
-    return tuple(float(v) for v in value)
+    return _distinct(key, value, tuple(float(v) for v in value))
 
 
 def _position(key: str, value) -> tuple[float, float]:

@@ -44,28 +44,32 @@ def _coefficients(bf_or_p) -> np.ndarray:
     return np.asarray(p, dtype=np.complex128)
 
 
+def _reflected_rows(p: np.ndarray, g: np.ndarray, params: SystemParams) -> np.ndarray:
+    # P_S sum|p(n) g(n)|^2 + sigma_I^2 sum|p(n)|^2 along the last axis.
+    return params.p_s * (np.abs(np.multiply(p, g)) ** 2).sum(axis=-1) \
+        + params.sigma_i_sq * (np.abs(p) ** 2).sum(axis=-1)
+
+
 def reflected_power(bf_or_p, ch: ChannelRealization, params: SystemParams) -> float:
     """Total power re-radiated by the IRS (watts):
     P_S sum|p(n) g(n)|^2 + sigma_I^2 sum|p(n)|^2."""
-    p = _coefficients(bf_or_p)
-    return float(
-        params.p_s * (np.abs(p * ch.g) ** 2).sum()
-        + params.sigma_i_sq * (np.abs(p) ** 2).sum()
-    )
+    return float(_reflected_rows(_coefficients(bf_or_p), ch.g, params))
 
 
-def _reflected_sum(p: np.ndarray, ch: ChannelRealization) -> complex:
-    # f^H G p = sum f(n)* g(n) p(n)
-    return complex((np.conj(ch.f) * ch.g * p).sum())
+def _snr_rows(p: np.ndarray, g: np.ndarray, f: np.ndarray, h: np.ndarray,
+              params: SystemParams) -> np.ndarray:
+    # The SNR of every row of (T, N) coefficients p, with libm steps (see rate_batch).
+    den = params.sigma_i_sq * np.sum(np.abs(np.multiply(f, p)) ** 2, axis=1) + params.sigma_u_sq
+    s = np.conj(h) + np.sum(np.multiply(np.multiply(np.conj(f), g), p), axis=1)
+    magnitude = np.hypot(s.real, s.imag)
+    return params.p_s * np.array([m ** 2 for m in magnitude.tolist()]) / den
 
 
 def snr(bf_or_p, ch: ChannelRealization, params: SystemParams) -> float:
     """P_S |h* + f^H G p|^2 / (sigma_I^2 p^H F F^H p + sigma_u^2), never
     negative: the denominator is at least sigma_u^2 > 0 (``SystemParams``)."""
     p = _coefficients(bf_or_p)
-    den = float(params.sigma_i_sq * (np.abs(ch.f * p) ** 2).sum() + params.sigma_u_sq)
-    num = params.p_s * abs(ch.h.conjugate() + _reflected_sum(p, ch)) ** 2
-    return num / den
+    return float(_snr_rows(p[None], ch.g[None], ch.f[None], np.array([ch.h]), params)[0])
 
 
 def rate(snr_value: float) -> float:
@@ -79,20 +83,15 @@ def rate_batch(p: np.ndarray, g: np.ndarray, f: np.ndarray, h: np.ndarray,
                params: SystemParams) -> np.ndarray:
     """``rate(snr(p[t], ch_t, params))`` for every row t of (T, N)
     coefficients ``p`` and channels ``g``, ``f`` with (T,) direct channels
-    ``h``, equal to the scalar path bit for bit; like ``snr``, it raises
-    nothing for a validated ``SystemParams``.
+    ``h``; like ``snr``, its one-row call, it raises nothing for a
+    validated ``SystemParams``.
 
-    The scalar path takes |.| with Python's ``abs`` (libm ``hypot``) and
-    squares and logs Python floats with ``**`` and ``math.log2`` (libm
-    ``pow`` and ``log2``); numpy's ``abs``, ``x * x`` and ``log2`` round
-    differently in some values, so those steps keep the libm calls.
+    Each SNR equals the first scalar one's bits, which took |.| with ``abs``
+    (libm ``hypot``) and squared and logged Python floats (libm ``pow`` and
+    ``log2``); numpy's ``abs``, ``x * x`` and ``log2`` round differently in
+    some values, so those steps keep the libm calls.
     """
-    den = params.sigma_i_sq * np.sum(np.abs(np.multiply(f, p)) ** 2, axis=1) \
-        + params.sigma_u_sq
-    s = np.conj(h) + np.sum(np.multiply(np.multiply(np.conj(f), g), p), axis=1)
-    magnitude = np.hypot(s.real, s.imag)
-    snr_values = params.p_s * np.array([m ** 2 for m in magnitude.tolist()]) / den
-    return np.array([math.log2(1.0 + x) for x in snr_values.tolist()])
+    return np.array([math.log2(1.0 + x) for x in _snr_rows(p, g, f, h, params).tolist()])
 
 
 def asnr_value(bf_or_p, ch: ChannelRealization, params: SystemParams) -> float:
@@ -109,7 +108,7 @@ def asnr_value(bf_or_p, ch: ChannelRealization, params: SystemParams) -> float:
         lam = _norm(p)
     if not lam > 0.0:
         raise ValueError("scale lam must be positive")
-    r = _reflected_sum(p, ch)
+    r = complex((np.conj(ch.f) * ch.g * p).sum())     # f^H G p
     num = params.p_s * (abs(r) ** 2 + 2.0 * (ch.h * r).real)
     den = float(
         params.sigma_i_sq * (np.abs(ch.f * p) ** 2).sum()

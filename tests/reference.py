@@ -1,4 +1,5 @@
-"""Scalar designs as they were first written, one draw at a time.
+"""Scalar designs and link metrics as they were first written, one draw
+at a time.
 
 ``irsbeam.egr``, ``irsbeam.mrr``, ``irsbeam.srr`` and
 ``irsbeam.passive_aligned`` are one-row calls of the batch kernels
@@ -8,6 +9,11 @@ are kept unchanged as the reference they are held to, ``srr`` at k = N
 being ``mrr``'s. ``design`` picks a scalar design by method tag, with
 these bodies for ``egr``, ``mrr``, ``srr`` and ``passive_aligned``, so
 that rates can be recomputed one (method, trial) at a time.
+
+Likewise ``irsbeam.snr`` and ``irsbeam.reflected_power`` are one-row
+calls of the row evaluators behind ``rate_batch`` and the budget scale of
+every design; ``snr`` and ``reflected_power`` here are their first scalar
+bodies, the reference those evaluators are held to bit for bit.
 """
 
 import cmath
@@ -17,7 +23,7 @@ import numpy as np
 
 from irsbeam import Beamformer, Method, SolverOptions, max_asnr, random_phase
 from irsbeam.beamforming import _direct_phase_factor
-from irsbeam.metrics import _norm
+from irsbeam.metrics import _coefficients, _norm
 
 
 def egr(ch, params):
@@ -67,6 +73,25 @@ def passive_aligned(ch, params):
     phi = cmath.phase(ch.h) if ch.h != 0 else 0.0
     p_norm = np.exp(1j * (theta - phi)) / math.sqrt(n)
     return Beamformer(p_norm, math.sqrt(n))
+
+
+def reflected_power(bf_or_p, ch, params):
+    """Total power re-radiated by the IRS (watts):
+    P_S sum|p(n) g(n)|^2 + sigma_I^2 sum|p(n)|^2."""
+    p = _coefficients(bf_or_p)
+    return float(
+        params.p_s * (np.abs(p * ch.g) ** 2).sum()
+        + params.sigma_i_sq * (np.abs(p) ** 2).sum()
+    )
+
+
+def snr(bf_or_p, ch, params):
+    """P_S |h* + f^H G p|^2 / (sigma_I^2 p^H F F^H p + sigma_u^2), with the
+    reflected sum f^H G p = sum f(n)* g(n) p(n)."""
+    p = _coefficients(bf_or_p)
+    den = float(params.sigma_i_sq * (np.abs(ch.f * p) ** 2).sum() + params.sigma_u_sq)
+    num = params.p_s * abs(ch.h.conjugate() + complex((np.conj(ch.f) * ch.g * p).sum())) ** 2
+    return num / den
 
 
 def design(method, ch, params, k=None, solver=None, phase_seed=None):

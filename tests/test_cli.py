@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +132,30 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["single", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
     assert "config error: config document must be a JSON object" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("scenario, doc, key", [
+    ("rate-vs-n", {"n_values": [4, 4]}, "n_values"),
+    ("srr-sweep", {"n_values": [8], "k_values": [4, 4]}, "k_values"),
+    ("srr-sweep", {"n_values": [8], "p_s_dbm_values": [0, 0.0]}, "p_s_dbm_values"),
+])
+def test_repeated_grid_entry_exit_code(tmp_path, capsys, scenario, doc, key):
+    cfg = write_config(tmp_path, trials=2, **doc)
+    out = tmp_path / "out.csv"
+    assert main([scenario, "--config", cfg, "--out", str(out), "--verbose-trials"]) == 2
+    assert f"config error: {key}: entries must be distinct" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_setup_does_not_import_numpy_random():
+    # Setup, what a run does before its first trial, leaves numpy.random,
+    # a large import, to the first draw.
+    code = ("import sys, irsbeam, irsbeam.cli; irsbeam.parse_config('{}'); "
+            "sys.exit('numpy.random' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_unknown_key_exit_code(tmp_path):

@@ -85,6 +85,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="^trials: repeated"):
             parse_config('{"trials": 10, "trials": 20}')
 
+    @pytest.mark.parametrize("scenario, doc, key", [
+        ("rate-vs-n", {"n_values": [4, 8, 4]}, "n_values"),
+        ("oracle-check", {"n_values": [1, 1]}, "n_values"),
+        ("srr-sweep", {"n_values": [8], "k_values": [4, 4]}, "k_values"),
+        ("srr-sweep", {"n_values": [8], "p_s_dbm_values": [0, 5, 0]}, "p_s_dbm_values"),
+        ("srr-sweep", {"n_values": [8], "p_s_dbm_values": [0, 0.0]}, "p_s_dbm_values"),
+        ("srr-sweep", {"n_values": [8], "p_s_dbm_values": [-0.0, 0]}, "p_s_dbm_values"),
+    ])
+    def test_repeated_grid_entry_names_key(self, scenario, doc, key):
+        # A repeated entry would repeat its rows in the output; P_S levels
+        # compare as floats, so 0 and 0.0 are one level.
+        with pytest.raises(ConfigError, match=f"^{key}: entries must be distinct"):
+            parse_config(json.dumps(doc), scenario=scenario)
+
     def test_invalid_scenario(self):
         with pytest.raises(ConfigError, match="scenario"):
             parse_config('{"scenario": "warp-speed"}')

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from irsbeam import (  # noqa: E402
     Adjudication,
+    Beamformer,
     ChannelRealization,
     ConfigError,
     ExperimentConfig,
@@ -27,6 +28,8 @@ from irsbeam import (  # noqa: E402
     passive_aligned,
     passive_aligned_batch,
     random_phase,
+    rate,
+    rate_batch,
     reflected_power,
     run_convergence,
     run_oracle_check,
@@ -35,11 +38,13 @@ from irsbeam import (  # noqa: E402
     sample_channels,
     sample_channels_batch,
     sign_adjudicate,
+    snr,
     srr,
     srr_batch,
     trial_seed,
     trial_seeds,
 )
+from irsbeam.beamforming import _budget_scale  # noqa: E402
 from irsbeam.config import _ALLOWED_KEYS, parse_config  # noqa: E402
 from irsbeam.metrics import _norm  # noqa: E402
 
@@ -109,6 +114,77 @@ def test_egr_srr_and_passive_aligned_batches_equal_the_scalar_reference(
             assert lam[t].tobytes() == np.float64(expected.lam).tobytes(), name
             assert bf.p_normalized.tobytes() == expected.p_normalized.tobytes(), name
             assert np.float64(bf.lam).tobytes() == np.float64(expected.lam).tobytes(), name
+
+
+def _same_bits(got, want):
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(master_seed=st.integers(0, 2**64 - 1), n=st.one_of(st.just(1), st.integers(1, 64)),
+       direct=st.lists(st.sampled_from(["drawn", 0j, complex(-0.0, 0.0)]), min_size=1,
+                       max_size=5),
+       p_s_dbm=st.floats(-20.0, 40.0), p_i_dbm=st.floats(-20.0, 40.0),
+       exponent=st.integers(-20, 20), zeros=st.floats(0.0, 1.0), data=st.data())
+def test_snr_and_reflected_power_equal_the_scalar_reference(
+        master_seed, n, direct, p_s_dbm, p_i_dbm, exponent, zeros, data):
+    """``rate_batch`` and ``snr`` give the first scalar SNR's bits, and
+    ``reflected_power`` and the budget scale the first scalar reflected
+    power's. Inputs are ``egr`` and ``srr`` designs (``srr`` at a drawn k,
+    zero off its selection), as ``Beamformer`` objects and as bare vectors,
+    and raw vectors of magnitude 10^exponent with a share ``zeros`` of
+    exactly zero entries; a row's h may be 0 or -0."""
+    params = replace(SystemParams.default(n), p_s=dbm_to_watts(p_s_dbm),
+                     p_i=dbm_to_watts(p_i_dbm))
+    k = data.draw(st.integers(1, n), label="k")
+    trials = len(direct)
+    g, f, h = sample_channels_batch(
+        params, [trial_seed(master_seed, t) for t in range(trials)])
+    for t, value in enumerate(direct):
+        if value != "drawn":
+            h[t] = value
+    rng = np.random.default_rng(master_seed)
+    raw = 10.0**exponent * (rng.standard_normal((trials, n))
+                            + 1j * rng.standard_normal((trials, n)))
+    raw[rng.random((trials, n)) < zeros] = 0.0
+    selected = srr_batch(g, f, h, k)
+    designs = {"egr": egr_batch(g, f, params),
+               "srr": (selected.p_normalized, selected.lam(params))}
+    for name, (p_norm, lam) in designs.items():
+        p = np.multiply(lam[:, None], p_norm)
+        rates = rate_batch(p, g, f, h, params), rate_batch(raw, g, f, h, params)
+        scales = _budget_scale(p_norm, g, params)
+        for t in range(trials):
+            ch = ChannelRealization(g=g[t], f=f[t], h=complex(h[t]))
+            for vector, batch in zip((p[t], raw[t]), rates):
+                assert _same_bits(batch[t], rate(reference.snr(vector, ch, params))), name
+            for vector in (p[t], Beamformer(p_norm[t], float(lam[t])), raw[t]):
+                assert _same_bits(snr(vector, ch, params),
+                                  reference.snr(vector, ch, params)), name
+                assert _same_bits(reflected_power(vector, ch, params),
+                                  reference.reflected_power(vector, ch, params)), name
+            want_scale = np.sqrt(params.p_i / reference.reflected_power(p_norm[t], ch, params))
+            assert _same_bits(scales[t], want_scale), name
+            assert _same_bits(_budget_scale(p_norm[t], g[t], params), want_scale), name
+
+
+@PROPERTY_SETTINGS
+@given(master_seed=st.integers(0, 2**64 - 1), n=st.integers(1, 4),
+       exponent=st.integers(-20, 20))
+def test_snr_and_rate_batch_keep_the_libm_steps_of_the_reference(master_seed, n, exponent):
+    """256 rows per example, so that the values on which numpy's ``log2``
+    and ``x * x`` round differently from libm's ``log2`` and ``pow``
+    (about 1 in 1,000) occur."""
+    params = SystemParams.default(n)
+    g, f, h = sample_channels_batch(params, [trial_seed(master_seed, t) for t in range(256)])
+    rng = np.random.default_rng(master_seed)
+    p = 10.0**exponent * (rng.standard_normal((256, n)) + 1j * rng.standard_normal((256, n)))
+    rates = rate_batch(p, g, f, h, params)
+    for t in range(256):
+        ch = ChannelRealization(g=g[t], f=f[t], h=complex(h[t]))
+        want = reference.snr(p[t], ch, params)
+        assert _same_bits(snr(p[t], ch, params), want)
+        assert _same_bits(rates[t], rate(want))
 
 
 # Seeds at both ends of the one- and two-word entropy ranges.
