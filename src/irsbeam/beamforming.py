@@ -17,8 +17,9 @@ P_I. Methods:
 ``egr``, ``mrr``, ``srr`` and ``passive_aligned`` are one-row calls of
 their batch kernels ``egr_batch``, ``srr_batch`` (at k = N for ``mrr``) and
 ``passive_aligned_batch``, which design every row of a batch of draws at
-once. Only ``max_asnr`` keeps a scalar body: the reference that
-``max_asnr_batch`` equals row by row, bit for bit.
+once. One step, ``_whitened``, forms the matched direction of ``srr_batch``,
+``max_asnr_batch`` and ``asnr_direction``; only ``max_asnr`` keeps its own,
+as the reference that ``max_asnr_batch`` equals row by row, bit for bit.
 """
 
 from __future__ import annotations
@@ -159,9 +160,10 @@ class ConvergenceTrace:
     @cached_property
     def records(self) -> tuple[TraceRecord, ...]:
         """Scale and rate of every iterate, in iteration order."""
-        return tuple(
-            TraceRecord(it, bf.lam, metrics.rate(metrics.snr(bf, self.channel, self.params)))
-            for it, bf in enumerate(self.iterates))
+        p, ch = np.array([bf.p for bf in self.iterates]), self.channel
+        rates = metrics.rate_batch(p, ch.g, ch.f, ch.h, self.params)
+        return tuple(TraceRecord(it, bf.lam, rate)
+                     for it, (bf, rate) in enumerate(zip(self.iterates, rates.tolist())))
 
 
 def _direct_phase_factor(h: complex) -> complex:
@@ -244,6 +246,22 @@ def _row_norms(w: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[:, 0, 0])
 
 
+def _whitened(w: np.ndarray, phase: np.ndarray, divisor: np.ndarray | None = None,
+              rows: np.ndarray | None = None) -> np.ndarray:
+    # Each row of w = g* o f (zero off a selection), over ``divisor`` if given,
+    # then over its 2-norm, times its direct-path factor; ``rows`` maps failing rows.
+    if divisor is None:
+        message = "selected product channels are identically zero"
+    else:
+        w = np.divide(w, divisor)
+        message = "product channel g* o f is identically zero"
+    nrm = _row_norms(w)
+    _require_rows(nrm != 0.0, message, rows)
+    p_norm = np.multiply(np.divide(w, nrm[:, None]), phase[:, None])
+    _require_unit_rows(p_norm, rows)
+    return p_norm
+
+
 def _matched_sums(g: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # S2 = sum |g f|^2 and S4 = sum |f|^2 |g|^4 along the last axis.
     return (np.sum(np.abs(np.multiply(g, f)) ** 2, axis=-1),
@@ -300,24 +318,7 @@ def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int) -> MatchedBat
         w = np.zeros((t, n), dtype=np.complex128)
         w[mask] = np.multiply(np.conj(g_sel), f_sel)
         g_sel, f_sel = g_sel.reshape(t, k), f_sel.reshape(t, k)
-    nrm = _row_norms(w)
-    _require_rows(nrm != 0.0, "selected product channels are identically zero")
-    p_norm = np.multiply(np.divide(w, nrm[:, None]), _direct_phase_factors(h)[:, None])
-    _require_unit_rows(p_norm)
-    return MatchedBatch(p_norm, *_matched_sums(g_sel, f_sel))
-
-
-def _asnr_step(w: np.ndarray, amp_noise: np.ndarray, phase: complex, lam: float,
-               params: SystemParams) -> np.ndarray:
-    # asnr_direction given w = g* o f, amp_noise = sigma_I^2 |f|^2 and the
-    # direct-path factor, none of which changes between max_asnr's passes.
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    w = w / (amp_noise + params.sigma_u_sq / lam**2)
-    nrm = _norm(w)
-    if nrm == 0.0:
-        raise ValueError("product channel g* o f is identically zero")
-    return (w / nrm) * phase
+    return MatchedBatch(_whitened(w, _direct_phase_factors(h)), *_matched_sums(g_sel, f_sel))
 
 
 def asnr_direction(ch: ChannelRealization, params: SystemParams, lam: float) -> np.ndarray:
@@ -327,8 +328,11 @@ def asnr_direction(ch: ChannelRealization, params: SystemParams, lam: float) -> 
     the n-th entry is proportional to exp(-j arg(h)) g(n)* f(n) / D(n), so
     the reflected sum adds in phase with the direct path.
     """
-    return _asnr_step(np.conj(ch.g) * ch.f, params.sigma_i_sq * np.abs(ch.f) ** 2,
-                      _direct_phase_factor(ch.h), lam, params)
+    if not lam > 0.0:
+        raise ValueError("lam must be positive")
+    divisor = params.sigma_i_sq * np.abs(ch.f) ** 2 + params.sigma_u_sq / lam**2
+    return _whitened(np.multiply(np.conj(ch.g), ch.f)[None],
+                     np.array([_direct_phase_factor(ch.h)]), divisor)[0]
 
 
 def max_asnr(ch: ChannelRealization, params: SystemParams,
@@ -343,13 +347,18 @@ def max_asnr(ch: ChannelRealization, params: SystemParams,
     """
     s2, s4 = _matched_sums(ch.g, ch.f)
     _require_rows(s2 > 0.0, "selected product channels are identically zero")
-    # A Python float, so that the direction step squares it with libm pow.
-    lam = float(_matched_scale(s2, s4, params))
+    lam = _matched_scale(s2, s4, params)
+    _require_rows(lam > 0.0, "lam must be positive")
+    lam = float(lam)    # so that the direction step squares it with libm pow
     w, amp_noise = np.conj(ch.g) * ch.f, params.sigma_i_sq * np.abs(ch.f) ** 2
     phase = _direct_phase_factor(ch.h)
     passes = []
     for _ in range(opts.max_iterations):
-        p_norm = _asnr_step(w, amp_noise, phase, lam, params)
+        whitened = w / (amp_noise + params.sigma_u_sq / lam**2)
+        nrm = _norm(whitened)
+        if nrm == 0.0:
+            raise ValueError("product channel g* o f is identically zero")
+        p_norm = (whitened / nrm) * phase
         new_lam = float(_budget_scale(p_norm, ch.g, params))
         passes.append(Beamformer(p_norm, new_lam))
         converged = abs(new_lam - lam) / lam <= opts.tolerance
@@ -375,18 +384,6 @@ class MaxAsnrBatch:
     converged: np.ndarray       # (T,) bool
 
 
-def _asnr_directions(g: np.ndarray, f: np.ndarray, amp_noise: np.ndarray,
-                     phase: np.ndarray, lam: np.ndarray, params: SystemParams,
-                     rows: np.ndarray) -> np.ndarray:
-    # asnr_direction on every row, given amp_noise = sigma_I^2 |f|^2 and
-    # the direct-path factor of each row; ``rows`` are their batch rows.
-    offset = np.array([params.sigma_u_sq / x**2 for x in lam.tolist()])
-    w = np.divide(np.multiply(np.conj(g), f), amp_noise + offset[:, None])
-    nrm = _row_norms(w)
-    _require_rows(nrm != 0.0, "product channel g* o f is identically zero", rows)
-    return np.multiply(np.divide(w, nrm[:, None]), phase[:, None])
-
-
 def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemParams,
                    opts: SolverOptions = SolverOptions()) -> MaxAsnrBatch:
     """``max_asnr`` on the rows of (T, N) channels ``g``, ``f`` and (T,)
@@ -396,26 +393,27 @@ def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemPa
     Each pass runs on the rows still active. A row leaves the active set
     as soon as its own stopping rule fires or it reaches
     ``max_iterations``, so every row keeps the scalar iteration count.
-    The direction step repeats ``asnr_direction`` in its operand order:
-    the square of the scale is taken on Python floats (libm ``pow``), norms
-    are the dot products ``np.linalg.norm`` takes, and complex products are
-    ``np.multiply`` calls.
+    The ``mrr`` start and every pass take their direction from ``_whitened``,
+    in the operand order of scalar ``max_asnr``, the reference: the scale is
+    squared on Python floats (libm ``pow``), norms are ``np.linalg.norm``'s
+    dot products, and complex products are ``np.multiply`` calls.
     """
-    t, n = g.shape
-    start = srr_batch(g, f, h, n)
-    lam = start.lam(params)
-    rates = metrics.rate_batch(np.multiply(lam[:, None], start.p_normalized), g, f, h, params)
-    records = [[rec] for rec in zip(lam.tolist(), rates.tolist())]
-    # Rows of the start's directions are overwritten as their trials end.
-    p_final, lam_final = start.p_normalized, lam.copy()
-    converged = np.zeros(t, dtype=bool)
+    _require_rows(np.isfinite(g).all(axis=1) & np.isfinite(f).all(axis=1) & np.isfinite(h),
+                  "channel entries must be finite")
     phase = _direct_phase_factors(h)
+    # Rows of the start's directions are overwritten as their trials end.
+    p_final = _whitened(np.multiply(np.conj(g), f), phase)
+    lam = MatchedBatch(p_final, *_matched_sums(g, f)).lam(params)
+    rates = metrics.rate_batch(np.multiply(lam[:, None], p_final), g, f, h, params)
+    records = [[rec] for rec in zip(lam.tolist(), rates.tolist())]
+    lam_final = lam.copy()
+    converged = np.zeros(len(g), dtype=bool)
     # Per active row: its index in the batch and everything a pass reads.
-    rows = np.arange(t)
+    rows = np.arange(len(g))
     amp_noise = params.sigma_i_sq * np.abs(f) ** 2
     for it in range(1, opts.max_iterations + 1):
-        p_norm = _asnr_directions(g, f, amp_noise, phase, lam, params, rows)
-        _require_unit_rows(p_norm, rows)
+        offset = np.array([params.sigma_u_sq / x**2 for x in lam.tolist()])
+        p_norm = _whitened(np.multiply(np.conj(g), f), phase, amp_noise + offset[:, None], rows)
         new_lam = _budget_scale(p_norm, g, params)
         _require_rows(new_lam > 0.0, "lam must be positive", rows)
         rates = metrics.rate_batch(np.multiply(new_lam[:, None], p_norm), g, f, h, params)

@@ -83,8 +83,9 @@ def rate_batch(p: np.ndarray, g: np.ndarray, f: np.ndarray, h: np.ndarray,
                params: SystemParams) -> np.ndarray:
     """``rate(snr(p[t], ch_t, params))`` for every row t of (T, N)
     coefficients ``p`` and channels ``g``, ``f`` with (T,) direct channels
-    ``h``; like ``snr``, its one-row call, it raises nothing for a
-    validated ``SystemParams``.
+    ``h``, or one draw's (N,) ``g``, ``f`` and scalar ``h`` shared by every
+    row; like ``snr``, its one-row call, it raises nothing for a validated
+    ``SystemParams``.
 
     Each SNR equals the first scalar one's bits, which took |.| with ``abs``
     (libm ``hypot``) and squared and logged Python floats (libm ``pow`` and

@@ -177,8 +177,8 @@ def sign_adjudicate(p: np.ndarray, ch: ChannelRealization,
     """Compare a design against its negation on one realization: the rate
     of the coefficients ``p`` against that of -p. Rate differences below
     1e-6 bits count as a tie."""
-    diff = metrics.rate(metrics.snr(p, ch, params)) \
-        - metrics.rate(metrics.snr(-p, ch, params))
+    aligned, literal = metrics.rate_batch(np.stack([p, -p]), ch.g, ch.f, ch.h, params)
+    diff = aligned - literal
     if abs(diff) < 1e-6:
         return Adjudication.TIE
     return Adjudication.ALIGNED_BETTER if diff > 0 else Adjudication.LITERAL_BETTER

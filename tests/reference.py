@@ -13,7 +13,10 @@ that rates can be recomputed one (method, trial) at a time.
 Likewise ``irsbeam.snr`` and ``irsbeam.reflected_power`` are one-row
 calls of the row evaluators behind ``rate_batch`` and the budget scale of
 every design; ``snr`` and ``reflected_power`` here are their first scalar
-bodies, the reference those evaluators are held to bit for bit.
+bodies, the reference those evaluators are held to bit for bit. And
+``irsbeam.asnr_direction`` is a one-row call of the whitened matched step
+that ``srr_batch`` and ``max_asnr_batch`` share; ``asnr_direction`` here
+is its first scalar body.
 """
 
 import cmath
@@ -64,6 +67,19 @@ def srr(ch, params, k):
     s4 = float((np.abs(f) ** 2 * np.abs(g) ** 4).sum())
     lam = math.sqrt(params.p_i * s2 / (params.p_s * s4 + params.sigma_i_sq * s2))
     return Beamformer(p_norm, lam)
+
+
+def asnr_direction(ch, params, lam):
+    """Optimal unit direction for a fixed scale: exp(-j arg(h)) g* o f / D
+    over its 2-norm, with the whitener D(n) = sigma_I^2 |f(n)|^2 + sigma_u^2 / lam^2."""
+    if not lam > 0.0:
+        raise ValueError("lam must be positive")
+    w = np.conj(ch.g) * ch.f
+    w = w / (params.sigma_i_sq * np.abs(ch.f) ** 2 + params.sigma_u_sq / lam**2)
+    nrm = _norm(w)
+    if nrm == 0.0:
+        raise ValueError("product channel g* o f is identically zero")
+    return (w / nrm) * _direct_phase_factor(ch.h)
 
 
 def passive_aligned(ch, params):

@@ -22,6 +22,7 @@ from irsbeam import (
     sample_channels_batch,
     snr,
     srr,
+    srr_batch,
     SystemParams,
     TraceRecord,
     rate,
@@ -381,8 +382,8 @@ class TestMaxAsnr:
                             lambda *args: starts.append(args) or mrr(*args))
         ch = sample_channels(params, 44)
         bf, trace = max_asnr(ch, params)
-        evaluate, calls = irsbeam.metrics.snr, []
-        monkeypatch.setattr(irsbeam.metrics, "snr",
+        evaluate, calls = irsbeam.metrics.rate_batch, []
+        monkeypatch.setattr(irsbeam.metrics, "rate_batch",
                             lambda *args: calls.append(args) or evaluate(*args))
         assert trace.converged and trace.iterations >= 1
         assert calls == [] and starts == []
@@ -394,9 +395,9 @@ class TestMaxAsnr:
         assert all(a is b for a, b in zip(trace.iterates[1:], trace.passes, strict=True))
         records = trace.records
         assert trace.iterates[0] is start and len(starts) == 1
-        assert trace.records is records and len(calls) == len(trace.iterates)
+        assert trace.records is records and len(calls) == 1
         assert records == tuple(
-            TraceRecord(it, it_bf.lam, rate(evaluate(it_bf, ch, params)))
+            TraceRecord(it, it_bf.lam, rate(snr(it_bf, ch, params)))
             for it, it_bf in enumerate(trace.iterates))
 
 
@@ -439,12 +440,12 @@ class TestMaxAsnrBatch:
         # Row 1 makes one pass more than the others, alone in the batch: a
         # check that fails there names it by its row in the batch.
         assert [len(r) for r in max_asnr_batch(g, f, h, params).records] == [4, 5, 4]
-        direction = beamforming._asnr_directions
+        whitened = beamforming._whitened
 
-        def zeroed_when_alone(g, *args):
-            return direction(np.zeros_like(g) if len(g) == 1 else g, *args)
+        def zeroed_when_alone(w, *args):
+            return whitened(np.zeros_like(w) if len(w) == 1 else w, *args)
 
-        monkeypatch.setattr(beamforming, "_asnr_directions", zeroed_when_alone)
+        monkeypatch.setattr(beamforming, "_whitened", zeroed_when_alone)
         with pytest.raises(ValueError,
                            match=r"^product channel g\* o f is identically zero$") as excinfo:
             max_asnr_batch(g, f, h, params)
@@ -460,6 +461,35 @@ class TestMaxAsnrBatch:
         with pytest.raises(ValueError, match="^channel entries must be finite$") as excinfo:
             max_asnr_batch(g, f, h, params)
         assert excinfo.value.row == 2
+
+    @pytest.mark.parametrize("design", [lambda g, f, h, params: srr_batch(g, f, h, 2),
+                                        lambda g, f, h, params: srr_batch(g, f, h, 4),
+                                        max_asnr_batch], ids=["srr", "mrr", "max_asnr"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_direct_channel_names_its_row(self, design, value):
+        params = SystemParams.default(4)
+        g, f, h = sample_channels_batch(params, [1, 2, 3])
+        h[1] = value
+        with pytest.raises(ValueError, match="^channel entries must be finite$") as excinfo:
+            design(g, f, h, params)
+        assert excinfo.value.row == 1
+
+    @pytest.mark.parametrize("g, f, overrides, message", [
+        # |g f|^2 = 1e-300 is nonzero, but P_I times it underflows to 0.
+        (1e-75, 1e-75, {"p_i": 1e-30}, "lam must be positive"),
+        # At the start's lam = 1e-15, |g f| / (sigma_I^2 |f|^2 + sigma_u^2 / lam^2)
+        # = 1e-100 / (1e230 + 1e30) underflows to 0.
+        (1e-200, 1e100, {"sigma_i_sq": 1e30}, r"product channel g\* o f is identically zero"),
+    ])
+    def test_underflow_raises_as_in_the_scalar_path(self, g, f, overrides, message):
+        params = make_params(n_elements=1, **overrides)
+        ch = channel([g], [f], 1.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            max_asnr(ch, params)
+        with pytest.raises(ValueError, match=f"^{message}$") as excinfo:
+            max_asnr_batch(ch.g[None], ch.f[None], np.array([ch.h]), params)
+        assert excinfo.value.row == 0
+
 
 class TestBaselines:
     def test_random_phase_deterministic(self, rng):

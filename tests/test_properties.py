@@ -18,6 +18,7 @@ from irsbeam import (  # noqa: E402
     ExperimentConfig,
     Scenario,
     SystemParams,
+    asnr_direction,
     dbm_to_watts,
     egr,
     egr_batch,
@@ -289,6 +290,24 @@ def test_mrr_is_srr_at_full_selection_bit_for_bit(master_seed, n, p_s_dbm, p_i_d
     full, selected = mrr(ch, params), reference.srr(ch, params, n)
     assert full.p_normalized.tobytes() == selected.p_normalized.tobytes()
     assert np.float64(full.lam).tobytes() == np.float64(selected.lam).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(master_seed=st.integers(0, 2**64 - 1), n=st.one_of(st.just(1), st.integers(1, 64)),
+       lam_exponent=st.floats(-2.0, 10.0),
+       direct=st.sampled_from(["drawn", 0j, complex(-0.0, 0.0)]))
+def test_asnr_direction_equals_the_scalar_reference(master_seed, n, lam_exponent, direct):
+    """``asnr_direction`` is a one-row call of the whitened matched step.
+    At the default noise floors and path losses, the two whitener terms
+    sigma_I^2 |f|^2 and sigma_u^2 / lam^2 cross near lam = 5e3, so the
+    drawn scales put either term in charge by several decades."""
+    params = SystemParams.default(n)
+    ch = sample_channels(params, trial_seed(master_seed, 0))
+    if direct != "drawn":
+        ch = replace(ch, h=direct)
+    lam = 10.0**lam_exponent
+    got, want = asnr_direction(ch, params, lam), reference.asnr_direction(ch, params, lam)
+    assert got.tobytes() == want.tobytes()
 
 
 @PROPERTY_SETTINGS
