@@ -77,6 +77,12 @@ def _require_unit_rows(p_norm: np.ndarray, rows: np.ndarray | None = None) -> No
                   "p_normalized must have unit 2-norm", rows)
 
 
+def _require_finite(g: np.ndarray, f: np.ndarray, h: np.ndarray | None = None) -> None:
+    # Every entry of each row of the (T, N) g and f, and of the (T,) h if given, is finite.
+    ok = np.isfinite(g).all(axis=1) & np.isfinite(f).all(axis=1)
+    _require_rows(ok if h is None else ok & np.isfinite(h), "channel entries must be finite")
+
+
 class Method(str, enum.Enum):
     """Beamforming method tags (also the CSV wire values)."""
 
@@ -213,6 +219,7 @@ def egr_batch(g: np.ndarray, f: np.ndarray,
     lam = sqrt(P_I N / (P_S sum|g|^2 + N sigma_I^2)). Complex products
     are ``np.multiply`` calls in a fixed operand order, as in ``srr_batch``.
     """
+    _require_finite(g, f)
     n = g.shape[1]
     theta = np.angle(np.multiply(f, np.conj(g)))
     p_norm = np.exp(np.multiply(1j, theta)) / math.sqrt(n)
@@ -269,8 +276,17 @@ def _matched_sums(g: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _matched_scale(s2: np.ndarray, s4: np.ndarray, params: SystemParams) -> np.ndarray:
-    # The budget-feasible scale sqrt(P_I S2 / (P_S S4 + sigma_I^2 S2)) of a matched design.
-    return np.sqrt(params.p_i * s2 / (params.p_s * s4 + params.sigma_i_sq * s2))
+    # A matched design's budget scale sqrt(P_I S2 / (P_S S4 + sigma_I^2 S2)), checked > 0.
+    lam = np.sqrt(params.p_i * s2 / (params.p_s * s4 + params.sigma_i_sq * s2))
+    _require_rows(lam > 0.0, "lam must be positive")
+    return lam
+
+
+def _matched_start(g: np.ndarray, f: np.ndarray, params: SystemParams) -> np.ndarray:
+    # max_asnr's start: mrr's checked scale along the last axis, before any direction is formed.
+    s2, s4 = _matched_sums(g, f)
+    _require_rows(s2 > 0.0, "selected product channels are identically zero")
+    return _matched_scale(s2, s4, params)
 
 
 @dataclass(frozen=True)
@@ -288,9 +304,7 @@ class MatchedBatch:
 
     def lam(self, params: SystemParams) -> np.ndarray:
         """Budget-feasible scale of every row, equal to ``srr(...).lam``."""
-        lam = _matched_scale(self.s2, self.s4, params)
-        _require_rows(lam > 0.0, "lam must be positive")
-        return lam
+        return _matched_scale(self.s2, self.s4, params)
 
 
 def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int) -> MatchedBatch:
@@ -305,8 +319,7 @@ def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int) -> MatchedBat
     t, n = g.shape
     if k is None or not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    _require_rows(np.isfinite(g).all(axis=1) & np.isfinite(f).all(axis=1) & np.isfinite(h),
-                  "channel entries must be finite")
+    _require_finite(g, f, h)
     if k == n:      # every element is selected: nothing to sort or gather
         g_sel, f_sel = g, f
         w = np.multiply(np.conj(g), f)
@@ -345,11 +358,7 @@ def max_asnr(ch: ChannelRealization, params: SystemParams,
     exhausts ``max_iterations`` is flagged unconverged, not raised. The MRR
     beamformer is built only if the trace's ``iterates`` are read.
     """
-    s2, s4 = _matched_sums(ch.g, ch.f)
-    _require_rows(s2 > 0.0, "selected product channels are identically zero")
-    lam = _matched_scale(s2, s4, params)
-    _require_rows(lam > 0.0, "lam must be positive")
-    lam = float(lam)    # so that the direction step squares it with libm pow
+    lam = float(_matched_start(ch.g, ch.f, params))   # a float: the step squares it with libm pow
     w, amp_noise = np.conj(ch.g) * ch.f, params.sigma_i_sq * np.abs(ch.f) ** 2
     phase = _direct_phase_factor(ch.h)
     passes = []
@@ -398,12 +407,11 @@ def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemPa
     squared on Python floats (libm ``pow``), norms are ``np.linalg.norm``'s
     dot products, and complex products are ``np.multiply`` calls.
     """
-    _require_rows(np.isfinite(g).all(axis=1) & np.isfinite(f).all(axis=1) & np.isfinite(h),
-                  "channel entries must be finite")
+    _require_finite(g, f, h)
+    lam = _matched_start(g, f, params)
     phase = _direct_phase_factors(h)
     # Rows of the start's directions are overwritten as their trials end.
     p_final = _whitened(np.multiply(np.conj(g), f), phase)
-    lam = MatchedBatch(p_final, *_matched_sums(g, f)).lam(params)
     rates = metrics.rate_batch(np.multiply(lam[:, None], p_final), g, f, h, params)
     records = [[rec] for rec in zip(lam.tolist(), rates.tolist())]
     lam_final = lam.copy()
@@ -458,6 +466,7 @@ def passive_aligned_batch(g: np.ndarray, f: np.ndarray,
     (T,) direct channels ``h`` at once: the (T, N) unit directions
     exp(j (arg(f g*) - arg h)) / sqrt(N), with arg 0 taken as 0, and the
     (T,) scales sqrt(N)."""
+    _require_finite(g, f, h)
     t, n = g.shape
     theta = np.angle(np.multiply(f, np.conj(g)))
     phi = np.array([cmath.phase(x) if x != 0 else 0.0 for x in h.tolist()])

@@ -1,9 +1,9 @@
 """Seeded Monte-Carlo experiment runner.
 
-Each experiment cell draws ``trials`` independent channel realizations,
-one per child seed mixed from (master_seed, trial index), designs the
-requested beamformer, and aggregates achievable rates. Trials are pure
-functions of their seed, so identical configs give identical bytes.
+Every run draws ``trials`` channel realizations, one per child seed mixed
+from (master_seed, trial index), a block at a time, designs each of its
+cells (a method and its k) on every block, and aggregates each cell's rates.
+Trials are pure functions of their seed, so identical configs give identical bytes.
 """
 
 from __future__ import annotations
@@ -136,13 +136,9 @@ class _Block:
     first: int
     channels: list[ChannelRealization]
     phase_seeds: list[int]
-    g: np.ndarray = field(init=False)
-    f: np.ndarray = field(init=False)
-    h: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.g, self.f, self.h = (np.array([getattr(ch, name) for ch in self.channels])
-                                  for name in "gfh")
+    g: np.ndarray
+    f: np.ndarray
+    h: np.ndarray
 
 
 def _block_rates(method: Method, k: int | None, block: _Block, params: SystemParams,
@@ -187,31 +183,25 @@ def _block_rates(method: Method, k: int | None, block: _Block, params: SystemPar
         return metrics.rate_batch(p, g, f, h, params), missed
 
 
-def _trial_rates(method: Method, params: SystemParams, seeds: list[int], master_seed: int,
-                 k: int | None, solver: SolverOptions | None) -> tuple[np.ndarray, int]:
-    """Per-trial rates in trial order, and how many designs did not
-    converge; trial t is drawn from ``seeds[t]``, in blocks of
-    ``max(1, BLOCK_ENTRIES // N)`` trials (``_block_rates``)."""
-    if not seeds:
-        raise ValueError("trials must be >= 1")
-    parts, unconverged = [], 0
+def _trial_blocks(params: SystemParams, seeds: list[int], master_seed: int, draws: int,
+                  copies: int):
+    """Yield a ``_Block`` for each ``_blocks`` block of ``seeds``, each trial
+    drawn ``draws`` times and its stream-1 seed mixed ``copies`` times, the
+    first of each kept: 6 and 6 in rate-vs-n, 1 and 6 in oracle-check (the
+    ``draws_per_trial`` and ``phase_seed_use_ratio`` that ``bench/test_bench.py``
+    pins), 1 and 1 in ``monte_carlo_rates``. ROADMAP item 1b replaces this body."""
     for first, block_seeds in _blocks(params.n_elements, seeds):
         channels, phase_seeds = [], []
         for t, seed in enumerate(block_seeds, first):
-            # Each (trial, method) draws its own channel and mixes its own
-            # stream-1 seed, though the draws repeat across methods and
-            # only random_phase reads the seed; max_asnr runs trial by
-            # trial. bench/test_bench.py pins draws_per_trial == 6.0,
-            # phase_seed_use_ratio == 1/6 and max_asnr.calls == trials * |N|
-            # on rate_vs_n until ROADMAP item 1.
             with _Naming(t):
                 channels.append(sample_channels(params, seed))
+                for _ in range(draws - 1):
+                    sample_channels(params, seed)
                 phase_seeds.append(trial_seed(master_seed, t, stream=1))
-        rates, missed = _block_rates(method, k, _Block(first, channels, phase_seeds), params,
-                                     solver, max_asnr_per_trial=True)
-        parts.append(rates)
-        unconverged += missed
-    return np.concatenate(parts), unconverged
+                for _ in range(copies - 1):
+                    trial_seed(master_seed, t, stream=1)
+        yield _Block(first, channels, phase_seeds,
+                     *(np.array([getattr(ch, name) for ch in channels]) for name in "gfh"))
 
 
 def monte_carlo_rates(method: Method, params: SystemParams, trials: int,
@@ -219,7 +209,11 @@ def monte_carlo_rates(method: Method, params: SystemParams, trials: int,
                       solver: SolverOptions | None = None) -> np.ndarray:
     """Per-trial achievable rates, in trial order."""
     seeds = trial_seeds(master_seed, range(trials))
-    return _trial_rates(method, params, seeds, master_seed, k, solver)[0]
+    if not seeds:
+        raise ValueError("trials must be >= 1")
+    return np.concatenate([
+        _block_rates(method, k, block, params, solver, max_asnr_per_trial=True)[0]
+        for block in _trial_blocks(params, seeds, master_seed, draws=1, copies=1)])
 
 
 def _unconverged_note(unconverged: int, runs: int) -> str:
@@ -319,21 +313,27 @@ def _sample_std(rates: np.ndarray) -> float:
 
 def run_rate_vs_n(cfg: ExperimentConfig,
                   verbose_trials: bool = False) -> ExperimentResult:
-    """Mean rate of every method across the element-count grid, on the
-    cells of ``_summary_cells``. Also runs ``single``, whose default grid
-    is N = 64. Every cell draws its trials from one list of seeds, which
-    the trial log's blocks share as their seed column. A note counts the
-    ``max_asnr`` runs that hit ``max_iterations``."""
+    """Mean rate of every method over the element-count grid, on the cells
+    of ``_summary_cells``; ``single`` too, at N = 64 by default. Each N
+    draws every block once (``_trial_blocks``) and designs all six cells on
+    it, ``max_asnr`` trial by trial (``bench/test_bench.py`` pins its calls).
+    The log's blocks share one seed column. A note counts unconverged runs."""
     table, log = Table(), Table()
     seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
     trial_column = range(cfg.trials)
     unconverged = 0
     for n in cfg.n_values:
         params = cfg.params_for(n)
-        for method, k in _summary_cells(n):
-            rates, missed = _trial_rates(method, params, seeds, cfg.master_seed,
-                                         k, cfg.solver)
-            unconverged += missed
+        cells = _summary_cells(n)
+        parts: list[list[np.ndarray]] = [[] for _ in cells]
+        for block in _trial_blocks(params, seeds, cfg.master_seed, len(cells), len(cells)):
+            for part, (method, k) in zip(parts, cells):
+                rates, missed = _block_rates(method, k, block, params, cfg.solver,
+                                             max_asnr_per_trial=True)
+                part.append(rates)
+                unconverged += missed
+        for (method, _), part in zip(cells, parts):
+            rates = np.concatenate(part)
             table.add((n, method.value, float(np.mean(rates)), _sample_std(rates),
                        cfg.trials))
             if verbose_trials:
@@ -357,10 +357,11 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
     trial-major. A note counts the ``max_asnr`` design runs that hit
     ``max_iterations``.
 
-    Trials run in blocks of ``max(1, BLOCK_ENTRIES // N)``. Each trial is
-    drawn and grid-searched on its own; then each cell is designed on the
-    whole block, ``max_asnr`` with ``max_asnr_batch``, and its rates come
-    from one ``rate_batch`` call (``_block_rates``)."""
+    Each N draws every block once (``_trial_blocks``) and grid-searches
+    each of its trials (``bench/test_bench.py`` pins ``oracle.grid_points``);
+    then each cell is designed on the whole block, ``max_asnr`` with
+    ``max_asnr_batch``, and its rates come from one ``rate_batch`` call
+    (``_block_rates``)."""
     table = Table()
     unconverged = 0
     seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
@@ -369,22 +370,11 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
         cells = _summary_cells(n)
         rates: list[float] = []
         best: list[float] = []
-        for first, block_seeds in _blocks(n, seeds):
-            channels, phase_seeds = [], []
-            for t, seed in enumerate(block_seeds, first):
-                # One scalar draw and one grid search per (trial, N), and one
-                # stream-1 seed per (trial, method) of which random_phase
-                # reads one: bench/test_bench.py pins draws_per_trial == 1.0,
-                # oracle.grid_points and phase_seed_use_ratio == 1/6 on
-                # oracle_check until ROADMAP item 1.
+        for block in _trial_blocks(params, seeds, cfg.master_seed, draws=1, copies=len(cells)):
+            for t, ch in enumerate(block.channels, block.first):
                 with _Naming(t):
-                    ch = sample_channels(params, seed)
                     best += [grid_search_best(ch, params, CHECK_PHASE_STEPS,
                                               CHECK_AMPLITUDE_STEPS).best_rate_bits] * len(cells)
-                    phase_seeds.append(
-                        [trial_seed(cfg.master_seed, t, stream=1) for _ in cells][0])
-                channels.append(ch)
-            block = _Block(first, channels, phase_seeds)
             columns = []
             for method, k in cells:
                 column, missed = _block_rates(method, k, block, params, cfg.solver)

@@ -11,11 +11,13 @@ from irsbeam import (
     asnr_direction,
     dbm_to_watts,
     egr,
+    egr_batch,
     lambda_from_normalized,
     max_asnr,
     max_asnr_batch,
     mrr,
     passive_aligned,
+    passive_aligned_batch,
     random_phase,
     reflected_power,
     sample_channels,
@@ -462,17 +464,25 @@ class TestMaxAsnrBatch:
             max_asnr_batch(g, f, h, params)
         assert excinfo.value.row == 2
 
-    @pytest.mark.parametrize("design", [lambda g, f, h, params: srr_batch(g, f, h, 2),
-                                        lambda g, f, h, params: srr_batch(g, f, h, 4),
-                                        max_asnr_batch], ids=["srr", "mrr", "max_asnr"])
+    @pytest.mark.parametrize("design, reads_h", [
+        (lambda g, f, h, params: srr_batch(g, f, h, 2), True),
+        (lambda g, f, h, params: srr_batch(g, f, h, 4), True),
+        (max_asnr_batch, True),
+        (lambda g, f, h, params: egr_batch(g, f, params), False),
+        (lambda g, f, h, params: passive_aligned_batch(g, f, h), True),
+    ], ids=["srr", "mrr", "max_asnr", "egr", "passive_aligned"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
-    def test_non_finite_direct_channel_names_its_row(self, design, value):
+    def test_non_finite_direct_channel_names_its_row(self, design, reads_h, value):
+        # Every batch design kernel checks its channels the same way: a
+        # non-finite entry of g, f or (but for egr_batch, which takes no h) h
+        # names its row.
         params = SystemParams.default(4)
-        g, f, h = sample_channels_batch(params, [1, 2, 3])
-        h[1] = value
-        with pytest.raises(ValueError, match="^channel entries must be finite$") as excinfo:
-            design(g, f, h, params)
-        assert excinfo.value.row == 1
+        for name, entry in [("g", (1, 2)), ("f", (1, 0))] + [("h", 1)] * reads_h:
+            channels = dict(zip("gfh", sample_channels_batch(params, [1, 2, 3])))
+            channels[name][entry] = value
+            with pytest.raises(ValueError, match="^channel entries must be finite$") as excinfo:
+                design(*channels.values(), params)
+            assert excinfo.value.row == 1, name
 
     @pytest.mark.parametrize("g, f, overrides, message", [
         # |g f|^2 = 1e-300 is nonzero, but P_I times it underflows to 0.
@@ -480,6 +490,11 @@ class TestMaxAsnrBatch:
         # At the start's lam = 1e-15, |g f| / (sigma_I^2 |f|^2 + sigma_u^2 / lam^2)
         # = 1e-100 / (1e230 + 1e30) underflows to 0.
         (1e-200, 1e100, {"sigma_i_sq": 1e30}, r"product channel g\* o f is identically zero"),
+        # |g f|^2 = 1e-320 is subnormal but nonzero, and the start's scale is
+        # 0/0: both paths check it before any direction is normalized.
+        pytest.param(1e-80, 1e-80, {"p_i": 1e-5}, "lam must be positive",
+                     marks=pytest.mark.filterwarnings(
+                         "ignore:invalid value encountered:RuntimeWarning")),
     ])
     def test_underflow_raises_as_in_the_scalar_path(self, g, f, overrides, message):
         params = make_params(n_elements=1, **overrides)

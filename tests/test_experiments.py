@@ -100,6 +100,17 @@ class TestFullPrecision:
             assert rates.tolist() == [_scalar_rate(method, params, master_seed, t, k)
                                       for t in range(trials)], method
 
+    def test_rate_vs_n_trial_log_equals_scalar_rates(self, monkeypatch):
+        # One block of all 7 trials at N = 1, blocks of 3 at N = 8 and of 1 at N = 64.
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 24)
+        cfg = small_config("rate-vs-n", n_values=[1, 8, 64], trials=7)
+        rows = rows_of(run_rate_vs_n(cfg, verbose_trials=True).trial_table)
+        assert len(rows) == len(cfg.n_values) * len(Method) * cfg.trials
+        for n, method, t, seed, rate_bits in rows:
+            assert seed == trial_seed(cfg.master_seed, t)
+            assert rate_bits == _scalar_rate(Method(method), cfg.params_for(n), cfg.master_seed,
+                                             t, max(1, n // 2), cfg.solver)
+
     def test_oracle_check_columns_equal_scalar_rates(self, monkeypatch):
         # Blocks of 3 trials at N = 1 and of 1 at N = 2.
         monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 3)
@@ -337,8 +348,9 @@ class TestMemoryBound:
         assert self._peak_mb(run_srr_sweep, cfg) < 16
 
     def test_rate_vs_n_at_large_n(self):
-        # One trial per block: 11 MB measured, the scalar max_asnr's passes
-        # included; the 4 trials stacked in one block peaked at 37 MB.
+        # One trial per block: 12 MB measured, the scalar max_asnr's passes
+        # and a repeated draw included; the 4 trials stacked in one block
+        # peaked at 37 MB.
         cfg = small_config("rate-vs-n", n_values=[65536], trials=4)
         assert self._peak_mb(run_rate_vs_n, cfg) < 20
 
@@ -374,7 +386,9 @@ class TestRateVsNRun:
         # Blocks of 4 trials at N = 4 and of 2 at N = 8.
         monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 16)
         run_rate_vs_n(small_config("rate-vs-n", n_values=[4, 8], trials=5))
-        assert calls == [(4, 4), (4, 1)] * 6 + [(8, 2), (8, 2), (8, 1)] * 6
+        # Block-major: every cell is designed on a block before the next is drawn.
+        assert calls == ([(4, 4)] * 6 + [(4, 1)] * 6
+                         + [(8, 2)] * 6 + [(8, 2)] * 6 + [(8, 1)] * 6)
 
     def test_schema_and_method_order(self):
         cfg = small_config("rate-vs-n", n_values=[4, 8])
@@ -517,11 +531,12 @@ class TestErrorsNameTheTrial:
             runner(cfg)
 
     # A batched draw fails tied to no row, so it names its block's first
-    # trial; a scalar draw names its own trial.
+    # trial; a scalar draw names its own trial. rate-vs-n draws each trial
+    # six times in a row, so call 37 is the first draw of trial 6.
     @pytest.mark.parametrize("runner, n, draw, call, trial", [
         (run_srr_sweep, 8, "sample_channels_batch", 2, 4),
         (run_convergence, 8, "sample_channels_batch", 2, 4),
-        (run_rate_vs_n, 8, "sample_channels", 7, 6),
+        (run_rate_vs_n, 8, "sample_channels", 37, 6),
         (run_oracle_check, 2, "sample_channels", 7, 6),
     ])
     def test_a_failing_draw_names_its_trial(self, monkeypatch, runner, n, draw, call, trial):
