@@ -17,9 +17,11 @@ P_I. Methods:
 ``egr``, ``mrr``, ``srr`` and ``passive_aligned`` are one-row calls of
 their batch kernels ``egr_batch``, ``srr_batch`` (at k = N for ``mrr``) and
 ``passive_aligned_batch``, which design every row of a batch of draws at
-once. One step, ``_whitened``, forms the matched direction of ``srr_batch``,
-``max_asnr_batch`` and ``asnr_direction``; only ``max_asnr`` keeps its own,
-as the reference that ``max_asnr_batch`` equals row by row, bit for bit.
+once. ``_matched_sums`` checks the product channel of every matched design
+once, before any direction or scale; then ``_whitened`` forms the matched
+direction of ``srr_batch``, ``max_asnr_batch`` and ``asnr_direction``; only
+``max_asnr`` keeps its own, as the reference that ``max_asnr_batch`` equals
+row by row, bit for bit.
 """
 
 from __future__ import annotations
@@ -255,24 +257,24 @@ def _row_norms(w: np.ndarray) -> np.ndarray:
 
 def _whitened(w: np.ndarray, phase: np.ndarray, divisor: np.ndarray | None = None,
               rows: np.ndarray | None = None) -> np.ndarray:
-    # Each row of w = g* o f (zero off a selection), over ``divisor`` if given,
-    # then over its 2-norm, times its direct-path factor; ``rows`` maps failing rows.
-    if divisor is None:
-        message = "selected product channels are identically zero"
-    else:
+    # Row by row: w = g* o f (zero off a selection), over ``divisor`` if given, over its 2-norm,
+    # times its direct-path factor; ``rows`` maps failures. Only a whitened row can be zero.
+    if divisor is not None:
         w = np.divide(w, divisor)
-        message = "product channel g* o f is identically zero"
     nrm = _row_norms(w)
-    _require_rows(nrm != 0.0, message, rows)
+    _require_rows(nrm != 0.0, "product channel g* o f is identically zero", rows)
     p_norm = np.multiply(np.divide(w, nrm[:, None]), phase[:, None])
     _require_unit_rows(p_norm, rows)
     return p_norm
 
 
 def _matched_sums(g: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # S2 = sum |g f|^2 and S4 = sum |f|^2 |g|^4 along the last axis.
-    return (np.sum(np.abs(np.multiply(g, f)) ** 2, axis=-1),
-            np.sum(np.abs(f) ** 2 * np.abs(g) ** 4, axis=-1))
+    # S2 = sum |g f|^2 and S4 = sum |f|^2 |g|^4 along the last axis, S2 checked to be
+    # a normal float: every matched design's one check, before any direction or scale.
+    s2 = np.sum(np.abs(np.multiply(g, f)) ** 2, axis=-1)
+    _require_rows(s2 >= np.finfo(np.float64).tiny,
+                  "selected product channels are identically zero")
+    return s2, np.sum(np.abs(f) ** 2 * np.abs(g) ** 4, axis=-1)
 
 
 def _matched_scale(s2: np.ndarray, s4: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -280,13 +282,6 @@ def _matched_scale(s2: np.ndarray, s4: np.ndarray, params: SystemParams) -> np.n
     lam = np.sqrt(params.p_i * s2 / (params.p_s * s4 + params.sigma_i_sq * s2))
     _require_rows(lam > 0.0, "lam must be positive")
     return lam
-
-
-def _matched_start(g: np.ndarray, f: np.ndarray, params: SystemParams) -> np.ndarray:
-    # max_asnr's start: mrr's checked scale along the last axis, before any direction is formed.
-    s2, s4 = _matched_sums(g, f)
-    _require_rows(s2 > 0.0, "selected product channels are identically zero")
-    return _matched_scale(s2, s4, params)
 
 
 @dataclass(frozen=True)
@@ -331,7 +326,8 @@ def srr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, k: int) -> MatchedBat
         w = np.zeros((t, n), dtype=np.complex128)
         w[mask] = np.multiply(np.conj(g_sel), f_sel)
         g_sel, f_sel = g_sel.reshape(t, k), f_sel.reshape(t, k)
-    return MatchedBatch(_whitened(w, _direct_phase_factors(h)), *_matched_sums(g_sel, f_sel))
+    s2, s4 = _matched_sums(g_sel, f_sel)
+    return MatchedBatch(_whitened(w, _direct_phase_factors(h)), s2, s4)
 
 
 def asnr_direction(ch: ChannelRealization, params: SystemParams, lam: float) -> np.ndarray:
@@ -358,7 +354,7 @@ def max_asnr(ch: ChannelRealization, params: SystemParams,
     exhausts ``max_iterations`` is flagged unconverged, not raised. The MRR
     beamformer is built only if the trace's ``iterates`` are read.
     """
-    lam = float(_matched_start(ch.g, ch.f, params))   # a float: the step squares it with libm pow
+    lam = float(_matched_scale(*_matched_sums(ch.g, ch.f), params))  # a float for libm pow
     w, amp_noise = np.conj(ch.g) * ch.f, params.sigma_i_sq * np.abs(ch.f) ** 2
     phase = _direct_phase_factor(ch.h)
     passes = []
@@ -402,13 +398,14 @@ def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemPa
     Each pass runs on the rows still active. A row leaves the active set
     as soon as its own stopping rule fires or it reaches
     ``max_iterations``, so every row keeps the scalar iteration count.
-    The ``mrr`` start and every pass take their direction from ``_whitened``,
-    in the operand order of scalar ``max_asnr``, the reference: the scale is
+    The ``mrr`` start's scale follows ``_matched_sums``' check of every row;
+    the start and every pass take their direction from ``_whitened``, in
+    the operand order of scalar ``max_asnr``, the reference: the scale is
     squared on Python floats (libm ``pow``), norms are ``np.linalg.norm``'s
     dot products, and complex products are ``np.multiply`` calls.
     """
     _require_finite(g, f, h)
-    lam = _matched_start(g, f, params)
+    lam = _matched_scale(*_matched_sums(g, f), params)
     phase = _direct_phase_factors(h)
     # Rows of the start's directions are overwritten as their trials end.
     p_final = _whitened(np.multiply(np.conj(g), f), phase)

@@ -97,10 +97,7 @@ def main(argv: list[str] | None = None) -> int:
             if path.is_dir():
                 raise ConfigError(f"output_path: {str(path)!r} is a directory")
         runner = _RUNNERS[scenario]
-        if scenario in _SUPPORTS_TRIAL_LOG:
-            result = runner(cfg, verbose_trials=args.verbose_trials)
-        else:
-            result = runner(cfg)
+        result = runner(cfg, verbose_trials=True) if args.verbose_trials else runner(cfg)
         _write_result(result, out_path, log_path)
         return 0
     except ConfigError as err:

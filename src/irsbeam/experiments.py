@@ -220,6 +220,28 @@ def _unconverged_note(unconverged: int, runs: int) -> str:
     return f"max-asnr: {unconverged} of {runs} runs did not converge"
 
 
+class _Summary:
+    """The CSV of ``run_rate_vs_n`` or ``run_srr_sweep``: ``add`` writes a
+    cell's row ``lead + (mean, sample std, trials)`` and, if the run logs
+    trials, its trial-log block led by ``lead``. The blocks share one trial and
+    one seed column; the log's header is the lead columns, then trial, seed, rate_bits."""
+
+    def __init__(self, header: tuple[str, ...], seeds: list[int], verbose_trials: bool):
+        self.header, self.seeds, self.trials = header, seeds, range(len(seeds))
+        self.table, self.log = Table(), Table() if verbose_trials else None
+
+    def add(self, lead: tuple, rates: np.ndarray) -> None:
+        std = float(np.std(rates, ddof=1)) if rates.size > 1 else 0.0
+        self.table.add(lead + (float(np.mean(rates)), std, rates.size))
+        if self.log is not None:
+            self.log.add(lead, self.trials, self.seeds, rates.tolist())
+
+    def result(self, notes: tuple[str, ...] = ()) -> ExperimentResult:
+        log_header = self.header[:-3] + ("trial", "seed", "rate_bits")
+        return ExperimentResult(self.header, self.table,
+                                None if self.log is None else log_header, self.log, notes)
+
+
 def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Per-iteration scale and rate traces of the iterative method, one
     group of rows per element count, one trace per seed.
@@ -265,10 +287,9 @@ def run_srr_sweep(cfg: ExperimentConfig,
     (P_S, k) once, the ``mrr`` row sharing the rates of k = N, as array
     operations that equal ``srr``/``mrr`` ->
     ``metrics.snr`` -> ``metrics.rate`` trial by trial, bit for bit. Each
-    cell's rates are joined in trial order before its mean and std; so
-    beside one rate per trial and cell, memory stays bounded at any trial
-    count. Each cell's trial log is one block led by the cell, and every
-    block shares one trial and one seed column.
+    cell's rates are joined in trial order before ``_Summary`` writes it;
+    so beside one rate per trial and cell, memory stays bounded at any
+    trial count.
     """
     n = cfg.n_values[0]
     seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
@@ -290,25 +311,11 @@ def run_srr_sweep(cfg: ExperimentConfig,
                 for level, params in enumerate(levels):
                     p = np.multiply(design.lam(params)[:, None], design.p_normalized)
                     parts[level, k].append(metrics.rate_batch(p, g, f, h, params))
-    table, log = Table(), Table()
-    trial_column = range(cfg.trials)
+    summary = _Summary(SRR_SWEEP_HEADER, seeds, verbose_trials)
     for level, p_s_dbm in enumerate(cfg.p_s_dbm_values):
         for method, k in cells:
-            rates = np.concatenate(parts[level, k])
-            table.add((k, p_s_dbm, method.value, float(np.mean(rates)), _sample_std(rates),
-                       cfg.trials))
-            if verbose_trials:
-                log.add((k, p_s_dbm, method.value), trial_column, seeds, rates.tolist())
-    return ExperimentResult(
-        SRR_SWEEP_HEADER, table,
-        trial_header=("k", "p_s_dbm", "method", "trial", "seed", "rate_bits")
-        if verbose_trials else None,
-        trial_table=log if verbose_trials else None,
-    )
-
-
-def _sample_std(rates: np.ndarray) -> float:
-    return float(np.std(rates, ddof=1)) if rates.size > 1 else 0.0
+            summary.add((k, p_s_dbm, method.value), np.concatenate(parts[level, k]))
+    return summary.result()
 
 
 def run_rate_vs_n(cfg: ExperimentConfig,
@@ -316,11 +323,10 @@ def run_rate_vs_n(cfg: ExperimentConfig,
     """Mean rate of every method over the element-count grid, on the cells
     of ``_summary_cells``; ``single`` too, at N = 64 by default. Each N
     draws every block once (``_trial_blocks``) and designs all six cells on
-    it, ``max_asnr`` trial by trial (``bench/test_bench.py`` pins its calls).
-    The log's blocks share one seed column. A note counts unconverged runs."""
-    table, log = Table(), Table()
+    it, ``max_asnr`` trial by trial (``bench/test_bench.py`` pins its calls),
+    and ``_Summary`` writes each cell. A note counts unconverged runs."""
     seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
-    trial_column = range(cfg.trials)
+    summary = _Summary(RATE_VS_N_HEADER, seeds, verbose_trials)
     unconverged = 0
     for n in cfg.n_values:
         params = cfg.params_for(n)
@@ -333,18 +339,8 @@ def run_rate_vs_n(cfg: ExperimentConfig,
                 part.append(rates)
                 unconverged += missed
         for (method, _), part in zip(cells, parts):
-            rates = np.concatenate(part)
-            table.add((n, method.value, float(np.mean(rates)), _sample_std(rates),
-                       cfg.trials))
-            if verbose_trials:
-                log.add((n, method.value), trial_column, seeds, rates.tolist())
-    return ExperimentResult(
-        RATE_VS_N_HEADER, table,
-        trial_header=("n", "method", "trial", "seed", "rate_bits")
-        if verbose_trials else None,
-        trial_table=log if verbose_trials else None,
-        notes=(_unconverged_note(unconverged, len(cfg.n_values) * cfg.trials),),
-    )
+            summary.add((n, method.value), np.concatenate(part))
+    return summary.result((_unconverged_note(unconverged, len(cfg.n_values) * cfg.trials),))
 
 
 # The benchmark's tracer looks the runners up by name.

@@ -485,25 +485,39 @@ class TestMaxAsnrBatch:
             assert excinfo.value.row == 1, name
 
     @pytest.mark.parametrize("g, f, overrides, message", [
-        # |g f|^2 = 1e-300 is nonzero, but P_I times it underflows to 0.
+        # |g f|^2 = 1e-300 is a normal float, but P_I times it underflows to 0.
         (1e-75, 1e-75, {"p_i": 1e-30}, "lam must be positive"),
         # At the start's lam = 1e-15, |g f| / (sigma_I^2 |f|^2 + sigma_u^2 / lam^2)
         # = 1e-100 / (1e230 + 1e30) underflows to 0.
         (1e-200, 1e100, {"sigma_i_sq": 1e30}, r"product channel g\* o f is identically zero"),
-        # |g f|^2 = 1e-320 is subnormal but nonzero, and the start's scale is
-        # 0/0: both paths check it before any direction is normalized.
-        pytest.param(1e-80, 1e-80, {"p_i": 1e-5}, "lam must be positive",
-                     marks=pytest.mark.filterwarnings(
-                         "ignore:invalid value encountered:RuntimeWarning")),
+        # |g f|^2 = 1e-320 is subnormal: the one product-channel check rejects
+        # it before any direction or scale (here 0/0) is formed.
+        (1e-80, 1e-80, {"p_i": 1e-5}, "selected product channels are identically zero"),
     ])
     def test_underflow_raises_as_in_the_scalar_path(self, g, f, overrides, message):
         params = make_params(n_elements=1, **overrides)
         ch = channel([g], [f], 1.0)
         with pytest.raises(ValueError, match=f"^{message}$"):
             max_asnr(ch, params)
-        with pytest.raises(ValueError, match=f"^{message}$") as excinfo:
-            max_asnr_batch(ch.g[None], ch.f[None], np.array([ch.h]), params)
-        assert excinfo.value.row == 0
+        designs = [lambda: max_asnr_batch(ch.g[None], ch.f[None], np.array([ch.h]), params)]
+        if not message.startswith("product channel"):   # only a whitened pass says that
+            designs += [lambda: mrr(ch, params), lambda: srr(ch, params, k=1),
+                        lambda: srr_batch(ch.g[None], ch.f[None], np.array([ch.h]), 1).lam(params)]
+        for design in designs:
+            with pytest.raises(ValueError, match=f"^{message}$") as excinfo:
+                design()
+            assert excinfo.value.row == 0
+
+    def test_subnormal_row_is_named_by_every_matched_kernel(self):
+        # Only row 1's |g f|^2 = 2e-320 is subnormal.
+        g = f = np.array([[1.0, 0.5], [1e-80, 1e-80]], dtype=np.complex128)
+        h = np.ones(2, dtype=np.complex128)
+        for design in (lambda: srr_batch(g, f, h, 1), lambda: srr_batch(g, f, h, 2),
+                       lambda: max_asnr_batch(g, f, h, make_params(n_elements=2))):
+            with pytest.raises(ValueError, match="^selected product channels are identically "
+                                                 "zero$") as excinfo:
+                design()
+            assert excinfo.value.row == 1
 
 
 class TestBaselines:

@@ -35,6 +35,8 @@ def test_single_is_rate_vs_n_at_the_same_n(tmp_path):
     assert out_s.read_bytes() == out_r.read_bytes()
     assert (tmp_path / "single.trials.csv").read_bytes() == \
         (tmp_path / "rate.trials.csv").read_bytes()
+    assert (tmp_path / "rate.trials.csv").read_text().splitlines()[0] == \
+        "n,method,trial,seed,rate_bits"
 
 
 def test_trial_log_of_an_out_path_without_csv_suffix(tmp_path):
