@@ -90,12 +90,10 @@ def main(argv: list[str] | None = None) -> int:
         scenario = cfg.scenario
         if args.verbose_trials and scenario not in _SUPPORTS_TRIAL_LOG:
             raise ConfigError(f"--verbose-trials: not used by the {scenario.value} scenario")
-        out_path = Path(cfg.output_path or f"{scenario.value}.csv")
+        out_path = Path(cfg.output_path)
         log_path = _trial_log_path(out_path)
-        # Both are written only once every trial has run.
-        for path in (out_path, log_path) if args.verbose_trials else (out_path,):
-            if path.is_dir():
-                raise ConfigError(f"output_path: {str(path)!r} is a directory")
+        if args.verbose_trials and log_path.is_dir():  # written once every trial has run
+            raise ConfigError(f"output_path: {str(log_path)!r} is a directory")
         runner = _RUNNERS[scenario]
         result = runner(cfg, verbose_trials=True) if args.verbose_trials else runner(cfg)
         _write_result(result, out_path, log_path)

@@ -74,7 +74,7 @@ class ExperimentConfig:
     master_seed: int
     params: SystemParams            # n_values[0]; srr-sweep: its first P_S
     solver: SolverOptions
-    output_path: str | None
+    output_path: str
     p_s_dbm_values: tuple[float, ...]
 
     def params_for(self, n_elements: int, p_s_dbm: float | None = None) -> SystemParams:
@@ -321,6 +321,6 @@ def parse_config(text: str, scenario: str | Scenario | None = None,
         master_seed=master_seed,
         params=_build(_DEFAULT_PARAMS, values, merged, n_elements=n_values[0], **levels[0]),
         solver=_build(_DEFAULT_SOLVER, values, merged),
-        output_path=values.get("output_path"),
+        output_path=values.get("output_path") or _path("output_path", f"{scen.value}.csv"),
         p_s_dbm_values=p_s_dbm_values,
     )

@@ -8,7 +8,6 @@ Trials are pure functions of their seed, so identical configs give identical byt
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
@@ -55,9 +54,7 @@ class Table:
 
     Each row of a block is its ``lead`` values followed by one value from
     each of its ``columns``, sequences of one length; a block without
-    columns is the one row ``lead``. Blocks may share a column object
-    (the trial and seed columns of a trial log), which ``format_csv`` then
-    renders once. ``len`` is the number of rows.
+    columns is the one row ``lead``. ``len`` is the number of rows.
     """
 
     blocks: list[tuple[tuple, tuple[Sequence, ...]]] = field(default_factory=list)
@@ -142,8 +139,7 @@ class _Block:
 
 
 def _block_rates(method: Method, k: int | None, block: _Block, params: SystemParams,
-                 solver: SolverOptions | None,
-                 max_asnr_per_trial: bool = False) -> tuple[np.ndarray, int]:
+                 solver: SolverOptions, max_asnr_per_trial: bool = False) -> tuple[np.ndarray, int]:
     """One cell's rates on the trials of a block, in trial order, and how
     many of its designs did not converge.
 
@@ -152,7 +148,6 @@ def _block_rates(method: Method, k: int | None, block: _Block, params: SystemPar
     call over the block, and every rate comes from one ``rate_batch``
     call. Each rate equals ``rate(snr(design(ch), ch, params))`` bit for
     bit."""
-    solver = solver or SolverOptions()
     g, f, h, missed = block.g, block.f, block.h, 0
     if method is Method.RANDOM_PHASE or (method is Method.MAX_ASNR and max_asnr_per_trial):
         rows = []
@@ -206,7 +201,7 @@ def _trial_blocks(params: SystemParams, seeds: list[int], master_seed: int, draw
 
 def monte_carlo_rates(method: Method, params: SystemParams, trials: int,
                       master_seed: int, k: int | None = None,
-                      solver: SolverOptions | None = None) -> np.ndarray:
+                      solver: SolverOptions = SolverOptions()) -> np.ndarray:
     """Per-trial achievable rates, in trial order."""
     seeds = trial_seeds(master_seed, range(trials))
     if not seeds:
@@ -216,19 +211,23 @@ def monte_carlo_rates(method: Method, params: SystemParams, trials: int,
         for block in _trial_blocks(params, seeds, master_seed, draws=1, copies=1)])
 
 
-def _unconverged_note(unconverged: int, runs: int) -> str:
-    return f"max-asnr: {unconverged} of {runs} runs did not converge"
+def _unconverged_note(unconverged: int, cfg: ExperimentConfig) -> str:
+    return f"max-asnr: {unconverged} of {len(cfg.n_values) * cfg.trials} runs did not converge"
 
 
 class _Summary:
     """The CSV of ``run_rate_vs_n`` or ``run_srr_sweep``: ``add`` writes a
     cell's row ``lead + (mean, sample std, trials)`` and, if the run logs
-    trials, its trial-log block led by ``lead``. The blocks share one trial and
-    one seed column; the log's header is the lead columns, then trial, seed, rate_bits."""
+    trials, its trial-log block led by ``lead``. The log's header is the lead
+    columns, then trial, seed, rate_bits. Its blocks share one trial and one
+    seed column, rendered once here as the text that ``format_csv`` writes."""
 
     def __init__(self, header: tuple[str, ...], seeds: list[int], verbose_trials: bool):
-        self.header, self.seeds, self.trials = header, seeds, range(len(seeds))
-        self.table, self.log = Table(), Table() if verbose_trials else None
+        self.header, self.table, self.log = header, Table(), None
+        if verbose_trials:
+            self.log = Table()
+            self.trials = list(map(str, range(len(seeds))))
+            self.seeds = list(map(str, seeds))
 
     def add(self, lead: tuple, rates: np.ndarray) -> None:
         std = float(np.std(rates, ddof=1)) if rates.size > 1 else 0.0
@@ -272,8 +271,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
                 records += trace
             unconverged += int(np.count_nonzero(~batch.converged))
         table.add((), seeds, iterations, *zip(*records))
-    notes = (_unconverged_note(unconverged, len(cfg.n_values) * cfg.trials),)
-    return ExperimentResult(CONVERGENCE_HEADER, table, notes=notes)
+    return ExperimentResult(CONVERGENCE_HEADER, table, notes=(_unconverged_note(unconverged, cfg),))
 
 
 def run_srr_sweep(cfg: ExperimentConfig,
@@ -340,7 +338,7 @@ def run_rate_vs_n(cfg: ExperimentConfig,
                 unconverged += missed
         for (method, _), part in zip(cells, parts):
             summary.add((n, method.value), np.concatenate(part))
-    return summary.result((_unconverged_note(unconverged, len(cfg.n_values) * cfg.trials),))
+    return summary.result((_unconverged_note(unconverged, cfg),))
 
 
 # The benchmark's tracer looks the runners up by name.
@@ -380,15 +378,13 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
         table.add((), [seed for seed in seeds for _ in cells], [n] * len(rates),
                   [method.value for method, _ in cells] * len(seeds), rates, best,
                   [b - r for b, r in zip(best, rates)])
-    notes = (_unconverged_note(unconverged, len(cfg.n_values) * cfg.trials),)
-    return ExperimentResult(ORACLE_CHECK_HEADER, table, notes=notes)
+    return ExperimentResult(ORACLE_CHECK_HEADER, table,
+                            notes=(_unconverged_note(unconverged, cfg),))
 
 
-def _conversion(value) -> str | None:
-    # None for a str subclass (an enum member, say): %s would call its own
-    # __str__ rather than give its string value.
-    if isinstance(value, str):
-        return "%s" if type(value) is str else None
+def _conversion(value) -> str:
+    if type(value) is str:
+        return "%s"
     if isinstance(value, (int, np.integer)):
         return "%d"
     if isinstance(value, (float, np.floating)):
@@ -396,49 +392,31 @@ def _conversion(value) -> str | None:
     raise TypeError(f"cannot serialize {value!r} into CSV")
 
 
-def _field(value) -> str:
-    conversion = _conversion(value)
-    return str.__str__(value) if conversion is None else conversion % value
+def _column_conversion(lead: tuple, column: Sequence) -> str:
+    if len(set(map(type, column))) > 1:
+        list(map(_conversion, column))  # names a value that no conversion takes
+        raise TypeError(f"block {lead!r}: the values of a column must share one type")
+    return _conversion(column[0])
 
 
 def format_csv(header: tuple[str, ...], table: Table) -> str:
     """Render a table with fixed column order, 12-significant-digit floats,
     and LF line endings, so identical results yield identical bytes.
 
-    Strings are written as their string value (str subclasses such as
-    enum members too), integers (bool and numpy integers too) as decimal
-    digits, floats (numpy floats too) with ``%.12g``; any other value
-    raises TypeError. Each block's lead is rendered once. A column whose
-    values share one type takes one %-conversion in the block's row
-    template, a column of mixed types or of a str subclass is rendered
-    value by value, and a column object that several blocks share is
-    rendered once per call. Each block's rows are then filled in by one
-    %-operation."""
-    uses = Counter(id(column) for _, columns in table.blocks for column in columns)
-    shared: dict[int, list[str]] = {}
+    Strings of type str are written as they are, integers (bool and numpy
+    integers too) as decimal digits, floats (numpy floats too) with
+    ``%.12g``. Any other value raises TypeError, a str subclass such as an
+    enum member too (``%s`` would call its own ``__str__``), and so does a
+    column whose values differ in type. Each block's lead is rendered once
+    and each of its columns takes one %-conversion in its row template,
+    which one %-operation fills in."""
     parts = [",".join(header) + "\n"]
     for lead, columns in table.blocks:
-        head = ",".join(map(_field, lead))
-        if not columns:
-            parts.append(head + "\n")
-            continue
-        size = len(columns[0])
+        size = len(columns[0]) if columns else 1
         if any(len(column) != size for column in columns):
             raise ValueError(f"block {lead!r}: columns must have one length")
-        conversions = [head.replace("%", "%%")] if lead else []
-        values = []
-        for column in columns:
-            if uses[id(column)] > 1:
-                if id(column) not in shared:
-                    shared[id(column)] = [_field(v) for v in column]
-                conversions.append("%s")
-                values.append(shared[id(column)])
-            elif len(set(map(type, column))) == 1 and (conversion := _conversion(column[0])):
-                conversions.append(conversion)
-                values.append(column)
-            else:
-                conversions.append("%s")
-                values.append([_field(v) for v in column])
+        conversions = [(_conversion(v) % v).replace("%", "%%") for v in lead]
+        conversions += [_column_conversion(lead, column) for column in columns if size]
         template = (",".join(conversions) + "\n") * size
-        parts.append(template % tuple(chain.from_iterable(zip(*values))))
+        parts.append(template % tuple(chain.from_iterable(zip(*columns))))
     return "".join(parts)

@@ -285,18 +285,28 @@ def test_runtime_error_exit_code(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("out_name, directory", [
-    pytest.param("no/such/dir/sweep.csv", None, id="no/such/dir"),
-    pytest.param("config.json/sweep.csv", None, id="config.json"),
-    pytest.param("sweep.csv", "sweep.csv", id="csv-is-a-directory"),
-    pytest.param("sweep.csv", "sweep.trials.csv", id="trial-log-is-a-directory"),
+_OUTPUT_CASES = [
+    ("no/such/dir/sweep.csv", None, "no/such/dir"),
+    ("config.json/sweep.csv", None, "config.json"),
+    ("sweep.csv", "sweep.csv", "csv-is-a-directory"),
+    ("sweep.csv", "sweep.trials.csv", "trial-log-is-a-directory"),
+]
+
+
+@pytest.mark.parametrize("source, out_name, directory", [
+    *(pytest.param(source, out_name, directory, id=f"{source}-{case}")
+      for source in ("flag", "document") for out_name, directory, case in _OUTPUT_CASES),
+    # Without a path, the CSV is <scenario>.csv in the working directory.
+    pytest.param("default", "srr-sweep.csv", "srr-sweep.csv", id="default-csv-is-a-directory"),
+    pytest.param("default", "srr-sweep.csv", "srr-sweep.trials.csv",
+                 id="default-trial-log-is-a-directory"),
 ])
-@pytest.mark.parametrize("source", ["flag", "document"])
 def test_output_path_outside_an_existing_directory_is_a_config_error(tmp_path, capsys,
                                                                      monkeypatch, out_name,
                                                                      directory, source):
     # A missing parent, a file as parent, or a directory where the CSV or
     # its trial log goes fails before any trial runs.
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / out_name
     if directory is not None:
         (tmp_path / directory).mkdir()
@@ -315,6 +325,14 @@ def test_output_path_outside_an_existing_directory_is_a_config_error(tmp_path, c
     assert "config error: output_path: " in capsys.readouterr().err
     made = ["config.json"] + ([directory] if directory else [])
     assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(made)
+
+
+def test_a_run_without_out_writes_the_scenario_csv_in_the_working_directory(tmp_path,
+                                                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["single", "--trials", "2"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["single.csv"]
+    assert (tmp_path / "single.csv").read_text().startswith("n,method,")
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

@@ -37,6 +37,10 @@ class TestDefaults:
         assert parse_config("", scenario="oracle-check").n_values == (1, 2)
         assert parse_config("", scenario="convergence").n_values == (64,)
 
+    def test_output_path_defaults_to_the_scenario_csv(self):
+        assert parse_config("").output_path == "single.csv"
+        assert parse_config("", scenario="rate-vs-n").output_path == "rate-vs-n.csv"
+
     def test_srr_sweep_default_k_adapts_to_small_n(self):
         cfg = parse_config('{"n_values": [8]}', scenario="srr-sweep")
         assert cfg.k_values == (4, 8)

@@ -106,10 +106,10 @@ class TestFullPrecision:
         cfg = small_config("rate-vs-n", n_values=[1, 8, 64], trials=7)
         rows = rows_of(run_rate_vs_n(cfg, verbose_trials=True).trial_table)
         assert len(rows) == len(cfg.n_values) * len(Method) * cfg.trials
-        for n, method, t, seed, rate_bits in rows:
-            assert seed == trial_seed(cfg.master_seed, t)
+        for i, (n, method, t, seed, rate_bits) in enumerate(rows):
+            assert (t, seed) == (str(i % cfg.trials), str(trial_seed(cfg.master_seed, int(t))))
             assert rate_bits == _scalar_rate(Method(method), cfg.params_for(n), cfg.master_seed,
-                                             t, max(1, n // 2), cfg.solver)
+                                             int(t), max(1, n // 2), cfg.solver)
 
     def test_oracle_check_columns_equal_scalar_rates(self, monkeypatch):
         # Blocks of 3 trials at N = 1 and of 1 at N = 2.
@@ -236,6 +236,22 @@ class TestSrrSweepRun:
             assert rates.size == count
             assert np.mean(rates) == pytest.approx(mean, rel=1e-12)
             assert np.std(rates, ddof=1) == pytest.approx(std, rel=1e-12)
+
+
+@pytest.mark.parametrize("scenario, extra", [
+    ("srr-sweep", {"n_values": [8], "k_values": [2, 8], "p_s_dbm_values": [0.0, 15.0]}),
+    ("rate-vs-n", {"n_values": [4, 8]}),
+])
+def test_trial_log_blocks_share_one_trial_and_one_seed_column_of_text(scenario, extra):
+    # _Summary renders the two columns once, as the text format_csv writes.
+    cfg = small_config(scenario, **extra)
+    runner = run_srr_sweep if scenario == "srr-sweep" else run_rate_vs_n
+    blocks = runner(cfg, verbose_trials=True).trial_table.blocks
+    assert len(blocks) > 2
+    trials, seeds, _ = blocks[0][1]
+    assert trials == [str(t) for t in range(cfg.trials)]
+    assert seeds == [str(trial_seed(cfg.master_seed, t)) for t in range(cfg.trials)]
+    assert all(block[1][0] is trials and block[1][1] is seeds for block in blocks)
 
 
 def _stacked_draws(params, trials):
@@ -428,8 +444,8 @@ class TestSingleAndOracleRuns:
         srr_row = [r for r in rows_of(result.table) if r[1] == "srr"][0]
         assert srr_row[0] == 8
         assert len(result.trial_table) == 6 * cfg.trials
-        assert [row[3] for row in rows_of(result.trial_table)] == \
-            [trial_seed(cfg.master_seed, t) for t in range(cfg.trials)] * 6
+        assert [row[2:4] for row in rows_of(result.trial_table)] == \
+            [(str(t), str(trial_seed(cfg.master_seed, t))) for t in range(cfg.trials)] * 6
 
     def test_oracle_check_schema_and_notes(self):
         cfg = small_config("oracle-check", n_values=[1, 2], trials=3)
@@ -601,7 +617,7 @@ class TestCsvWriterMatchesPerValueRules:
     VALUES = ["mrr", "", "a b", True, False, 0, -7, 2**70, 0.0, -0.0, 0.1, 1 / 3, -2.5e-300,
               1e300, float("nan"), float("inf"), -float("inf"), np.int32(-5),
               np.int64(2**62 + 1), np.uint64(2**64 - 1), np.float32(0.1), np.float32(-3e38),
-              np.float64(2 / 3), np.float64(1e-320), Method.MRR]
+              np.float64(2 / 3), np.float64(1e-320)]
 
     @staticmethod
     def _matches(header, table):
@@ -610,26 +626,38 @@ class TestCsvWriterMatchesPerValueRules:
         return rows
 
     def test_every_value_type(self):
-        # The mixed column goes value by value; each one-type column, one
-        # per value, goes through one %-conversion.
-        table = _table(((), self.VALUES), (tuple(self.VALUES),), (tuple(self.VALUES[::-1]),),
+        # Each one-type column, one per value, goes through one
+        # %-conversion; a column of all the types is refused.
+        table = _table((tuple(self.VALUES),), (tuple(self.VALUES[::-1]),),
                        *(((), [v, v, v]) for v in self.VALUES))
         rows = rows_of(table)
-        assert rows[:len(self.VALUES) + 2] == \
-            [(v,) for v in self.VALUES] + [tuple(self.VALUES), tuple(self.VALUES[::-1])]
+        assert rows[:2] == [tuple(self.VALUES), tuple(self.VALUES[::-1])]
         assert format_csv(("x",), table) == _oracle_csv(("x",), rows)
+        with pytest.raises(TypeError, match=r"^block \(\): the values of a column must share "):
+            format_csv(("x",), _table(((), self.VALUES)))
 
     def test_column_mixing_int_and_float(self):
-        header = ("a", "b")
+        # Each of the two columns mixes types; the first one named raises.
         table = _table(((), [1, 2.5, np.int64(4), True, 1], [0.5, 3, np.float32(1.5), 7.0, 0.5]))
-        assert format_csv(header, table) == _oracle_csv(header, rows_of(table)) == \
-            "a,b\n1,0.5\n2.5,3\n4,1.5\n1,7\n1,0.5\n"
+        with pytest.raises(TypeError, match=r"^block \(\): the values of a column must share "):
+            format_csv(("a", "b"), table)
+        assert format_csv(("a",), _table(((), [1.0, 2.5]))) == "a\n1\n2.5\n"
 
     def test_column_mixing_int_float_bool_and_numpy_scalars(self):
         mixed = [1, 2.5, True, np.int16(-3), np.uint8(200), np.float32(0.1), np.float64(1e-5),
                  False, 2**64, np.float16(0.5)]
+        with pytest.raises(TypeError, match=r"^block \('m%d%%',\): the values of a column "):
+            format_csv(("lead", "x", "y"), _table((("m%d%%",), [0.5] * len(mixed), mixed)))
         # The lead's "%" is text, not a conversion of the block's row template.
-        self._matches(("lead", "x", "y"), _table((("m%d%%",), mixed, mixed[::-1])))
+        self._matches(("lead", "x"), _table((("m%d%%",), [np.int16(-3), np.int16(7)])))
+
+    def test_enum_member_raises_naming_it(self):
+        # Method.MRR is a str subclass: %s would write its __str__, so it is
+        # refused as a lead value and in a column, alone or beside its value.
+        for table in (_table(((Method.MRR,),)), _table(((1,), [Method.MRR])),
+                      _table(((), ["mrr", Method.MRR]))):
+            with pytest.raises(TypeError, match=re.escape(f"cannot serialize {Method.MRR!r}")):
+                format_csv(("a", "b"), table)
 
     def test_lead_only_blocks(self):
         rows = self._matches(("a", "b", "c"), _table(((1, 0.5, "mrr"),), ((np.int64(2), 1e-9, ""),),
@@ -639,21 +667,8 @@ class TestCsvWriterMatchesPerValueRules:
     def test_column_only_blocks(self):
         rows = self._matches(("a", "b"), _table(((), [1, 2, 3], [0.5, 0.25, 1 / 3]),
                                                 ((), range(4), ["x", "y", "z", "w"]),
-                                                ((), range(6), list(Method))))
+                                                ((), range(6), [m.value for m in Method])))
         assert len(rows) == 13
-
-    @pytest.mark.parametrize("shared", [[7, 2**63, 0, 1], [7, 2**63, 0.5, True, "x"]])
-    def test_a_column_shared_by_blocks_is_rendered_once(self, monkeypatch, shared):
-        table = _table(*(((k,), shared, [0.25 * i for i in range(len(shared))])
-                         for k in (1, 2, 3)))
-        rendered = []
-        field = experiments._field
-        monkeypatch.setattr(experiments, "_field", lambda v: rendered.append(v) or field(v))
-        rows = self._matches(("k", "seed", "rate"), table)
-        assert len(rows) == 3 * len(shared)
-        # The three leads and each shared value once; the float column of
-        # each block takes one %-conversion.
-        assert sorted(map(repr, rendered)) == sorted(map(repr, [1, 2, 3, *shared]))
 
     def test_zero_row_block(self):
         table = _table((("k", 1), [], []), (("k", 2), [3], [0.5]), ((), range(0)))
