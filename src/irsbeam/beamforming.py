@@ -86,12 +86,13 @@ def _require_finite(g: np.ndarray, f: np.ndarray, h: np.ndarray | None = None) -
 
 
 class Method(str, enum.Enum):
-    """Beamforming method tags (also the CSV wire values)."""
+    """Beamforming method tags (also the CSV wire values), in the order the
+    summary scenarios write them."""
 
-    EGR = "egr"
+    MAX_ASNR = "max-asnr"
     MRR = "mrr"
     SRR = "srr"
-    MAX_ASNR = "max-asnr"
+    EGR = "egr"
     RANDOM_PHASE = "random-phase"
     PASSIVE_ALIGNED = "passive-aligned"
 

@@ -33,15 +33,6 @@ __all__ = [
     "format_csv",
 ]
 
-RATE_VS_N_METHODS = (
-    Method.MAX_ASNR,
-    Method.MRR,
-    Method.SRR,
-    Method.EGR,
-    Method.RANDOM_PHASE,
-    Method.PASSIVE_ALIGNED,
-)
-
 CONVERGENCE_HEADER = ("seed", "iteration", "lambda", "rate_bits")
 SRR_SWEEP_HEADER = ("k", "p_s_dbm", "method", "mean_rate_bits", "std_rate_bits", "trials")
 RATE_VS_N_HEADER = ("n", "method", "mean_rate_bits", "std_rate_bits", "trials")
@@ -79,8 +70,8 @@ class ExperimentResult:
 
 def _summary_cells(n: int) -> list[tuple[Method, int | None]]:
     """The (method, k) cells of the summary scenarios at ``n`` elements:
-    every method, with ``srr`` on half the elements."""
-    return [(m, max(1, n // 2) if m is Method.SRR else None) for m in RATE_VS_N_METHODS]
+    every method in ``Method``'s order, with ``srr`` on half the elements."""
+    return [(m, max(1, n // 2) if m is Method.SRR else None) for m in Method]
 
 
 @dataclass
@@ -126,9 +117,9 @@ def _blocks(n: int, seeds: list[int]):
 
 @dataclass
 class _Block:
-    """A block of trials drawn one at a time: the run index of its first
-    trial, their draws, each one's stream-1 seed, and the draws stacked as
-    (T, N) ``g``, ``f`` and (T,) ``h``."""
+    """A block of trials: the run index of its first trial, their draws and
+    each one's stream-1 seed (``_trial_blocks`` alone fills these two), and
+    the draws stacked as (T, N) ``g``, ``f`` and (T,) ``h``."""
 
     first: int
     channels: list[ChannelRealization]
@@ -138,10 +129,10 @@ class _Block:
     h: np.ndarray
 
 
-def _block_rates(method: Method, k: int | None, block: _Block, params: SystemParams,
-                 solver: SolverOptions, max_asnr_per_trial: bool = False) -> tuple[np.ndarray, int]:
-    """One cell's rates on the trials of a block, in trial order, and how
-    many of its designs did not converge.
+def _block_rates(method: Method, block: _Block, params: SystemParams, solver: SolverOptions,
+                 max_asnr_per_trial: bool) -> tuple[np.ndarray, int]:
+    """The rates of a design other than ``mrr`` and ``srr`` on the trials of
+    a block, in trial order, and how many of its designs did not converge.
 
     ``random_phase``, and ``max_asnr`` when ``max_asnr_per_trial`` is set,
     are designed trial by trial; every other design is one batch kernel
@@ -166,9 +157,6 @@ def _block_rates(method: Method, k: int | None, block: _Block, params: SystemPar
                 design = max_asnr_batch(g, f, h, params, solver)
                 p_norm, lam = design.p_normalized, design.lam
                 missed = int(np.count_nonzero(~design.converged))
-            elif method is Method.MRR or method is Method.SRR:
-                matched = srr_batch(g, f, h, g.shape[1] if method is Method.MRR else k)
-                p_norm, lam = matched.p_normalized, matched.lam(params)
             elif method is Method.EGR:
                 p_norm, lam = egr_batch(g, f, params)
             else:
@@ -199,16 +187,67 @@ def _trial_blocks(params: SystemParams, seeds: list[int], master_seed: int, draw
                      *(np.array([getattr(ch, name) for ch in channels]) for name in "gfh"))
 
 
+def _batch_blocks(params: SystemParams, seeds: list[int]):
+    """Yield a ``_Block`` for each ``_blocks`` block of ``seeds``, drawn with
+    one ``sample_channels_batch`` call."""
+    for first, block_seeds in _blocks(params.n_elements, seeds):
+        with _Naming(first):
+            g, f, h = sample_channels_batch(params, block_seeds)
+        yield _Block(first, [], [], g, f, h)
+
+
+def _run_cells(blocks, cells: list[tuple[Method, int | None]], levels: list[SystemParams],
+               solver: SolverOptions,
+               max_asnr_per_trial: bool = False) -> tuple[list[list[np.ndarray]], int]:
+    """Every cell's rates at every power level on the trials of ``blocks``,
+    as ``rates[level][cell]`` in trial order, and how many ``max_asnr``
+    runs did not converge.
+
+    On each block the designs run in cell order. A matched design depends
+    on no power, so each selection size (``mrr`` is ``srr`` at k = N) is
+    designed once per block, at its first cell, and named by its last; it
+    is evaluated once per level, and every cell of that size shares its
+    rates. Every other cell goes through ``_block_rates`` at each level."""
+    # A design's key: (srr, selection size) for a matched cell, else the cell.
+    keys = [(Method.SRR, levels[0].n_elements if method is Method.MRR else k)
+            if method is Method.MRR or method is Method.SRR else (method, k)
+            for method, k in cells]
+    names = dict(zip(keys, (method for method, _ in cells)))    # the last cell's
+    parts = {(level, key): [] for level in range(len(levels)) for key in names}
+    unconverged = 0
+    for block in blocks:
+        for (kind, k), name in names.items():
+            if kind is Method.SRR:
+                with _Naming(block.first, name):
+                    design = srr_batch(block.g, block.f, block.h, k)
+                    for level, params in enumerate(levels):
+                        p = np.multiply(design.lam(params)[:, None], design.p_normalized)
+                        parts[level, (kind, k)].append(
+                            metrics.rate_batch(p, block.g, block.f, block.h, params))
+            else:
+                for level, params in enumerate(levels):
+                    rates, missed = _block_rates(kind, block, params, solver, max_asnr_per_trial)
+                    parts[level, (kind, k)].append(rates)
+                    unconverged += missed
+    return [[np.concatenate(parts[level, key]) for key in keys]
+            for level in range(len(levels))], unconverged
+
+
 def monte_carlo_rates(method: Method, params: SystemParams, trials: int,
                       master_seed: int, k: int | None = None,
                       solver: SolverOptions = SolverOptions()) -> np.ndarray:
-    """Per-trial achievable rates, in trial order."""
+    """Per-trial achievable rates, in trial order. ``k``, the selection
+    size, is given with ``srr`` alone, in [1, N]."""
+    if method is not Method.SRR and k is not None:
+        raise ValueError(f"k is for method srr alone, got k={k} with method {method.value}")
+    if method is Method.SRR and (k is None or not 1 <= k <= params.n_elements):
+        raise ValueError(f"k must be in [1, {params.n_elements}], got {k}")
     seeds = trial_seeds(master_seed, range(trials))
     if not seeds:
         raise ValueError("trials must be >= 1")
-    return np.concatenate([
-        _block_rates(method, k, block, params, solver, max_asnr_per_trial=True)[0]
-        for block in _trial_blocks(params, seeds, master_seed, draws=1, copies=1)])
+    blocks = _trial_blocks(params, seeds, master_seed, draws=1, copies=1)
+    rates, _ = _run_cells(blocks, [(method, k)], [params], solver, max_asnr_per_trial=True)
+    return rates[0][0]
 
 
 def _unconverged_note(unconverged: int, cfg: ExperimentConfig) -> str:
@@ -219,21 +258,21 @@ class _Summary:
     """The CSV of ``run_rate_vs_n`` or ``run_srr_sweep``: ``add`` writes a
     cell's row ``lead + (mean, sample std, trials)`` and, if the run logs
     trials, its trial-log block led by ``lead``. The log's header is the lead
-    columns, then trial, seed, rate_bits. Its blocks share one trial and one
-    seed column, rendered once here as the text that ``format_csv`` writes."""
+    columns, then trial, seed, rate_bits. Its blocks share one column of
+    each trial's ``"t,seed"``, rendered once here as the text of those two
+    fields."""
 
     def __init__(self, header: tuple[str, ...], seeds: list[int], verbose_trials: bool):
         self.header, self.table, self.log = header, Table(), None
         if verbose_trials:
             self.log = Table()
-            self.trials = list(map(str, range(len(seeds))))
-            self.seeds = list(map(str, seeds))
+            self.trials = [f"{t},{seed}" for t, seed in enumerate(seeds)]
 
     def add(self, lead: tuple, rates: np.ndarray) -> None:
         std = float(np.std(rates, ddof=1)) if rates.size > 1 else 0.0
         self.table.add(lead + (float(np.mean(rates)), std, rates.size))
         if self.log is not None:
-            self.log.add(lead, self.trials, self.seeds, rates.tolist())
+            self.log.add(lead, self.trials, rates.tolist())
 
     def result(self, notes: tuple[str, ...] = ()) -> ExperimentResult:
         log_header = self.header[:-3] + ("trial", "seed", "rate_bits")
@@ -246,7 +285,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     group of rows per element count, one trace per seed.
 
     Trials are drawn and designed in blocks of ``max(1, BLOCK_ENTRIES // N)``
-    (``_blocks``) with ``max_asnr_batch``, which equals ``max_asnr`` trial
+    (``_batch_blocks``) with ``max_asnr_batch``, which equals ``max_asnr`` trial
     by trial, bit for bit; so the memory beside the output rows stays
     bounded at any N and trial count. The seeds of all trials are mixed
     once, since they do not depend on N. The rows of each N are one block
@@ -260,12 +299,10 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         seeds: list[int] = []
         iterations: list[int] = []
         records: list[tuple[float, float]] = []
-        for first, block in _blocks(n, all_seeds):
-            with _Naming(first):
-                g, f, h = sample_channels_batch(params, block)
-            with _Naming(first, Method.MAX_ASNR):
-                batch = max_asnr_batch(g, f, h, params, cfg.solver)
-            for seed, trace in zip(block, batch.records):
+        for block in _batch_blocks(params, all_seeds):
+            with _Naming(block.first, Method.MAX_ASNR):
+                batch = max_asnr_batch(block.g, block.f, block.h, params, cfg.solver)
+            for seed, trace in zip(all_seeds[block.first:], batch.records):
                 seeds += [seed] * len(trace)
                 iterations += range(len(trace))
                 records += trace
@@ -280,39 +317,22 @@ def run_srr_sweep(cfg: ExperimentConfig,
     reference row per power level.
 
     Each trial is seeded and drawn once for the whole sweep (the draw does
-    not depend on P_S), in blocks of ``max(1, BLOCK_ENTRIES // N)``
-    (``_blocks``). Each block designs every k once and evaluates every
-    (P_S, k) once, the ``mrr`` row sharing the rates of k = N, as array
-    operations that equal ``srr``/``mrr`` ->
-    ``metrics.snr`` -> ``metrics.rate`` trial by trial, bit for bit. Each
-    cell's rates are joined in trial order before ``_Summary`` writes it;
-    so beside one rate per trial and cell, memory stays bounded at any
-    trial count.
+    not depend on P_S), one ``_batch_blocks`` block at a time, and
+    ``_run_cells`` designs each selection size once per block and
+    evaluates it once per level, the ``mrr`` row sharing the rates of
+    k = N; every rate equals ``srr``/``mrr`` -> ``metrics.snr`` ->
+    ``metrics.rate`` trial by trial, bit for bit. So beside one rate per
+    trial and cell, memory stays bounded at any trial count.
     """
     n = cfg.n_values[0]
     seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
     cells = [(Method.SRR, k) for k in cfg.k_values] + [(Method.MRR, n)]
     levels = [cfg.params_for(n, p_s_dbm=p_s_dbm) for p_s_dbm in cfg.p_s_dbm_values]
-    # The rates of one (P_S level, k) serve every row with that k: the
-    # mrr row is srr at k = N on the same draws.
-    parts: dict[tuple[int, int], list[np.ndarray]] = {
-        (level, k): [] for level in range(len(levels)) for _, k in cells}
-    # Each selection size once, the k = N design named mrr.
-    selections = {k: method for method, k in cells}
-    draw_params = cfg.params_for(n)
-    for first, block in _blocks(n, seeds):
-        with _Naming(first):
-            g, f, h = sample_channels_batch(draw_params, block)
-        for k, method in selections.items():
-            with _Naming(first, method):
-                design = srr_batch(g, f, h, k)
-                for level, params in enumerate(levels):
-                    p = np.multiply(design.lam(params)[:, None], design.p_normalized)
-                    parts[level, k].append(metrics.rate_batch(p, g, f, h, params))
+    rates, _ = _run_cells(_batch_blocks(cfg.params_for(n), seeds), cells, levels, cfg.solver)
     summary = _Summary(SRR_SWEEP_HEADER, seeds, verbose_trials)
-    for level, p_s_dbm in enumerate(cfg.p_s_dbm_values):
-        for method, k in cells:
-            summary.add((k, p_s_dbm, method.value), np.concatenate(parts[level, k]))
+    for p_s_dbm, level_rates in zip(cfg.p_s_dbm_values, rates):
+        for (method, k), cell_rates in zip(cells, level_rates):
+            summary.add((k, p_s_dbm, method.value), cell_rates)
     return summary.result()
 
 
@@ -320,29 +340,38 @@ def run_rate_vs_n(cfg: ExperimentConfig,
                   verbose_trials: bool = False) -> ExperimentResult:
     """Mean rate of every method over the element-count grid, on the cells
     of ``_summary_cells``; ``single`` too, at N = 64 by default. Each N
-    draws every block once (``_trial_blocks``) and designs all six cells on
-    it, ``max_asnr`` trial by trial (``bench/test_bench.py`` pins its calls),
-    and ``_Summary`` writes each cell. A note counts unconverged runs."""
+    draws every block once (``_trial_blocks``) and ``_run_cells`` designs
+    all six cells on it, ``max_asnr`` trial by trial (``bench/test_bench.py``
+    pins its calls); ``_Summary`` writes each cell. A note counts
+    unconverged runs."""
     seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
     summary = _Summary(RATE_VS_N_HEADER, seeds, verbose_trials)
     unconverged = 0
     for n in cfg.n_values:
         params = cfg.params_for(n)
         cells = _summary_cells(n)
-        parts: list[list[np.ndarray]] = [[] for _ in cells]
-        for block in _trial_blocks(params, seeds, cfg.master_seed, len(cells), len(cells)):
-            for part, (method, k) in zip(parts, cells):
-                rates, missed = _block_rates(method, k, block, params, cfg.solver,
-                                             max_asnr_per_trial=True)
-                part.append(rates)
-                unconverged += missed
-        for (method, _), part in zip(cells, parts):
-            summary.add((n, method.value), np.concatenate(part))
+        blocks = _trial_blocks(params, seeds, cfg.master_seed, len(cells), len(cells))
+        (rates,), missed = _run_cells(blocks, cells, [params], cfg.solver,
+                                      max_asnr_per_trial=True)
+        unconverged += missed
+        for (method, _), cell_rates in zip(cells, rates):
+            summary.add((n, method.value), cell_rates)
     return summary.result((_unconverged_note(unconverged, cfg),))
 
 
 # The benchmark's tracer looks the runners up by name.
 run_single = run_rate_vs_n
+
+
+def _grid_searched(blocks, params: SystemParams, best: list[float]):
+    """``blocks``, each grid-searched trial by trial before it is yielded,
+    its trials' best rates appended to ``best``."""
+    for block in blocks:
+        for t, ch in enumerate(block.channels, block.first):
+            with _Naming(t):
+                best.append(grid_search_best(ch, params, CHECK_PHASE_STEPS,
+                                             CHECK_AMPLITUDE_STEPS).best_rate_bits)
+        yield block
 
 
 def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
@@ -353,31 +382,25 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
 
     Each N draws every block once (``_trial_blocks``) and grid-searches
     each of its trials (``bench/test_bench.py`` pins ``oracle.grid_points``);
-    then each cell is designed on the whole block, ``max_asnr`` with
-    ``max_asnr_batch``, and its rates come from one ``rate_batch`` call
-    (``_block_rates``)."""
+    then ``_run_cells`` designs each cell on the whole block, ``max_asnr``
+    with ``max_asnr_batch``, and takes its rates from one ``rate_batch``
+    call."""
     table = Table()
     unconverged = 0
     seeds = trial_seeds(cfg.master_seed, range(cfg.trials))
     for n in cfg.n_values:
         params = cfg.params_for(n)
         cells = _summary_cells(n)
-        rates: list[float] = []
         best: list[float] = []
-        for block in _trial_blocks(params, seeds, cfg.master_seed, draws=1, copies=len(cells)):
-            for t, ch in enumerate(block.channels, block.first):
-                with _Naming(t):
-                    best += [grid_search_best(ch, params, CHECK_PHASE_STEPS,
-                                              CHECK_AMPLITUDE_STEPS).best_rate_bits] * len(cells)
-            columns = []
-            for method, k in cells:
-                column, missed = _block_rates(method, k, block, params, cfg.solver)
-                columns.append(column)
-                unconverged += missed
-            rates += np.stack(columns, axis=1).ravel().tolist()
-        table.add((), [seed for seed in seeds for _ in cells], [n] * len(rates),
-                  [method.value for method, _ in cells] * len(seeds), rates, best,
-                  [b - r for b, r in zip(best, rates)])
+        blocks = _trial_blocks(params, seeds, cfg.master_seed, draws=1, copies=len(cells))
+        (rates,), missed = _run_cells(_grid_searched(blocks, params, best), cells, [params],
+                                      cfg.solver)
+        unconverged += missed
+        rows = np.stack(rates, axis=1).ravel().tolist()
+        best = [b for b in best for _ in cells]
+        table.add((), [seed for seed in seeds for _ in cells], [n] * len(rows),
+                  [method.value for method, _ in cells] * len(seeds), rows, best,
+                  [b - r for b, r in zip(best, rows)])
     return ExperimentResult(ORACLE_CHECK_HEADER, table,
                             notes=(_unconverged_note(unconverged, cfg),))
 

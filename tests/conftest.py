@@ -32,8 +32,11 @@ def random_channel(rng, n, scale_g=1.0, scale_f=1.0, scale_h=1.0):
 
 
 def rows_of(table):
-    """The rows of an ``experiments.Table`` as tuples, block by block."""
-    return [lead + values for lead, columns in table.blocks
+    """The rows of an ``experiments.Table`` as tuples of CSV fields, block by
+    block; a text value such as the trial log's ``"t,seed"`` is its fields."""
+    return [tuple(field for value in lead + values
+                  for field in (value.split(",") if type(value) is str else [value]))
+            for lead, columns in table.blocks
             for values in (zip(*columns) if columns else [()])]
 
 

@@ -1,10 +1,13 @@
+import json
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from irsbeam import (
+    ChannelRealization,
     Method,
     OracleResult,
     SolverOptions,
@@ -31,7 +34,8 @@ from irsbeam import (
     srr_batch,
     trial_seed,
 )
-from irsbeam import experiments
+from irsbeam import beamforming, experiments, metrics
+from irsbeam.cli import _RUNNERS
 from irsbeam.beamforming import _require_rows
 from irsbeam.experiments import (
     CONVERGENCE_HEADER,
@@ -45,10 +49,13 @@ from conftest import rows_of
 
 
 def small_config(scenario, **extra):
-    import json
     doc = {"trials": 8, "master_seed": 321}
     doc.update(extra)
     return parse_config(json.dumps(doc), scenario=scenario)
+
+
+def _seeds(cfg):
+    return [trial_seed(cfg.master_seed, t) for t in range(cfg.trials)]
 
 
 class TestMonteCarlo:
@@ -58,16 +65,18 @@ class TestMonteCarlo:
                                   master_seed=cfg.master_seed)
         assert rows_of(run_rate_vs_n(cfg).table)[1] == (8, "mrr", rates[0], 0.0, 1)
 
-    def test_trial_failure_carries_index(self):
-        # k out of range is tied to no row of the block, so the error names
-        # the block's first trial.
+    def test_trial_failure_carries_index(self, monkeypatch):
+        # k is checked before any draw: srr needs one in [1, N], and no
+        # other method takes one.
+        monkeypatch.setattr(experiments, "sample_channels", _refused)
         params = SystemParams.default(4)
-        with pytest.raises(RuntimeError,
-                           match=r"^trial 0 failed for method srr: k must be in \[1, 4\], got 99$"):
-            monte_carlo_rates(Method.SRR, params, 2, 9, k=99)
-        with pytest.raises(RuntimeError,
-                           match=r"^trial 0 failed for method srr: k must be in \[1, 4\], got None$"):
-            monte_carlo_rates(Method.SRR, params, 2, 9)
+        for k in (99, 0, None):
+            with pytest.raises(ValueError, match=rf"^k must be in \[1, 4\], got {k}$"):
+                monte_carlo_rates(Method.SRR, params, 2, 9, k=k)
+        for method in (Method.EGR, Method.MRR, Method.MAX_ASNR):
+            with pytest.raises(ValueError, match=f"^k is for method srr alone, got k=2 with "
+                                                 f"method {method.value}$"):
+                monte_carlo_rates(method, params, 2, 9, k=2)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="^trials must be >= 1$"):
@@ -129,18 +138,6 @@ class TestFullPrecision:
 
 
 class TestConvergenceRun:
-    def test_schema_and_trace_lengths(self):
-        cfg = small_config("convergence", n_values=[8])
-        result = run_convergence(cfg)
-        assert result.header == CONVERGENCE_HEADER
-        rows = rows_of(result.table)
-        seeds = {row[0] for row in rows}
-        assert len(seeds) == cfg.trials
-        for seed in seeds:
-            iters = [row[1] for row in rows if row[0] == seed]
-            assert iters == list(range(len(iters)))
-            assert len(iters) <= cfg.solver.max_iterations + 1
-
     @staticmethod
     def _scalar_rows(cfg):
         rows, unconverged = [], 0
@@ -180,7 +177,6 @@ class TestConvergenceRun:
         assert result.notes == (f"max-asnr: {unconverged} of {cfg.trials} runs did not converge",)
 
     def test_final_rate_usually_improves_on_initialization(self):
-        import json
         cfg = parse_config(json.dumps({"trials": 200, "master_seed": 12345}),
                            scenario="convergence")
         result = run_convergence(cfg)
@@ -202,16 +198,6 @@ class TestSrrSweepRun:
         assert result.header == SRR_SWEEP_HEADER
         methods = [(row[0], row[2]) for row in rows_of(result.table)]
         assert methods == [(2, "srr"), (8, "srr"), (8, "mrr")]
-
-    def test_full_selection_row_equals_mrr_per_trial(self):
-        cfg = small_config("srr-sweep", n_values=[8], k_values=[8],
-                           p_s_dbm_values=[15.0])
-        result = run_srr_sweep(cfg, verbose_trials=True)
-        log = rows_of(result.trial_table)
-        srr_rates = {r[3]: r[5] for r in log if r[2] == "srr"}
-        mrr_rates = {r[3]: r[5] for r in log if r[2] == "mrr"}
-        for trial, rate_bits in srr_rates.items():
-            assert rate_bits == pytest.approx(mrr_rates[trial], rel=1e-12)
 
     def test_blocks_equal_one_block(self, monkeypatch):
         # 4 trials per block at N = 8: 19 trials make five blocks, the last
@@ -243,15 +229,14 @@ class TestSrrSweepRun:
     ("rate-vs-n", {"n_values": [4, 8]}),
 ])
 def test_trial_log_blocks_share_one_trial_and_one_seed_column_of_text(scenario, extra):
-    # _Summary renders the two columns once, as the text format_csv writes.
+    # _Summary renders each trial's trial and seed once, as the one text
+    # value "t,seed" that format_csv writes as two fields.
     cfg = small_config(scenario, **extra)
-    runner = run_srr_sweep if scenario == "srr-sweep" else run_rate_vs_n
-    blocks = runner(cfg, verbose_trials=True).trial_table.blocks
+    blocks = _RUNNERS[scenario](cfg, verbose_trials=True).trial_table.blocks
     assert len(blocks) > 2
-    trials, seeds, _ = blocks[0][1]
-    assert trials == [str(t) for t in range(cfg.trials)]
-    assert seeds == [str(trial_seed(cfg.master_seed, t)) for t in range(cfg.trials)]
-    assert all(block[1][0] is trials and block[1][1] is seeds for block in blocks)
+    trials, _ = blocks[0][1]
+    assert trials == [f"{t},{trial_seed(cfg.master_seed, t)}" for t in range(cfg.trials)]
+    assert all(len(block[1]) == 2 and block[1][0] is trials for block in blocks)
 
 
 def _stacked_draws(params, trials):
@@ -298,23 +283,12 @@ class TestSrrBatch:
         assert excinfo.value.row == 2
 
     def test_sweep_evaluates_each_power_and_k_once(self, monkeypatch):
-        # k = 8 = N: the srr k = 8 row and the mrr row share one rate_batch
-        # call per P_S level and block, and their rates are equal bit for bit.
-        from irsbeam import metrics
-        evaluate, calls = metrics.rate_batch, []
-
-        def counted(p, g, f, h, params):
-            calls.append((params.p_s, len(p)))
-            return evaluate(p, g, f, h, params)
-
-        monkeypatch.setattr(metrics, "rate_batch", counted)
-        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 32)
+        # k = 8 = N: the srr k = 8 and mrr cells share one design, so one
+        # rate_batch row per (trial, P_S, selection size), equal rates.
         cfg = small_config("srr-sweep", n_values=[8], k_values=[2, 8],
                            p_s_dbm_values=[0.0, 15.0], trials=6)
-        result = run_srr_sweep(cfg, verbose_trials=True)
-        # Blocks of 4 and 2 trials, two k and two P_S levels in each.
-        assert [rows for _, rows in calls] == [4] * 4 + [2] * 4
-        assert len({p_s for p_s, _ in calls}) == 2
+        rows, result = _evaluated_rows(monkeypatch, cfg)
+        assert len(rows) == cfg.trials * 2 * 2 and set(rows.values()) == {1}
         log = rows_of(result.trial_table)
         for p_s_dbm in (0.0, 15.0):
             srr_rates = [r[5] for r in log if r[:3] == (8, p_s_dbm, "srr")]
@@ -322,19 +296,21 @@ class TestSrrBatch:
             assert len(srr_rates) == cfg.trials and srr_rates == mrr_rates
 
     def test_sweep_draws_each_trial_once(self, monkeypatch):
-        calls = []
-
-        def counted(params, seeds):
-            calls.append(list(seeds))
-            return sample_channels_batch(params, seeds)
-
-        monkeypatch.setattr(experiments, "sample_channels_batch", counted)
+        # The batched runners draw every (N, seed) exactly once, in draws of
+        # at most one block.
         monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 24)
-        cfg = small_config("srr-sweep", n_values=[8], k_values=[2, 8],
-                           p_s_dbm_values=[0.0, 15.0])
-        run_srr_sweep(cfg)
-        assert [len(seeds) for seeds in calls] == [3, 3, 2]
-        assert sum(calls, []) == [trial_seed(cfg.master_seed, t) for t in range(cfg.trials)]
+        for cfg in (small_config("srr-sweep", n_values=[8]),
+                    small_config("convergence", n_values=[4, 8])):
+            drawn = []
+
+            def counted(params, seeds):
+                assert len(seeds) <= experiments.BLOCK_ENTRIES // params.n_elements
+                drawn.extend((params.n_elements, seed) for seed in seeds)
+                return sample_channels_batch(params, seeds)
+
+            monkeypatch.setattr(experiments, "sample_channels_batch", counted)
+            _RUNNERS[cfg.scenario](cfg)
+            assert sorted(drawn) == sorted((n, seed) for n in cfg.n_values for seed in _seeds(cfg))
 
 
 class TestMemoryBound:
@@ -383,28 +359,12 @@ class TestMemoryBound:
 
 class TestRateVsNRun:
     def test_snr_is_evaluated_once_per_design(self, monkeypatch):
-        # Each cell's rates come from one rate_batch call per block, one row
-        # per design. No scalar snr or rate call is made, so max_asnr's
-        # trace records, whose rates would need them, are never computed;
-        # nor is its mrr start, of which the iteration needs only the scale.
-        from irsbeam import beamforming
-        from irsbeam import metrics
-        evaluate, calls = metrics.rate_batch, []
-
-        def counted(p, g, f, h, params):
-            calls.append((params.n_elements, len(p)))
-            return evaluate(p, g, f, h, params)
-
-        monkeypatch.setattr(metrics, "rate_batch", counted)
-        monkeypatch.setattr(metrics, "snr", _refused)
-        monkeypatch.setattr(metrics, "rate", _refused)
-        monkeypatch.setattr(beamforming, "mrr", _refused)
-        # Blocks of 4 trials at N = 4 and of 2 at N = 8.
-        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 16)
-        run_rate_vs_n(small_config("rate-vs-n", n_values=[4, 8], trials=5))
-        # Block-major: every cell is designed on a block before the next is drawn.
-        assert calls == ([(4, 4)] * 6 + [(4, 1)] * 6
-                         + [(8, 2)] * 6 + [(8, 2)] * 6 + [(8, 1)] * 6)
+        # One rate_batch row per (trial, N, design) and no scalar snr or
+        # rate call, so max_asnr's trace records, whose rates would need
+        # them, are never computed; nor is its mrr start.
+        cfg = small_config("rate-vs-n", n_values=[4, 8], trials=5)
+        rows, _ = _evaluated_rows(monkeypatch, cfg)
+        assert len(rows) == cfg.trials * 2 * len(Method) and set(rows.values()) == {1}
 
     def test_schema_and_method_order(self):
         cfg = small_config("rate-vs-n", n_values=[4, 8])
@@ -417,7 +377,6 @@ class TestRateVsNRun:
         ]
 
     def test_budget_methods_gain_with_more_elements(self):
-        import json
         cfg = parse_config(json.dumps({"trials": 300, "master_seed": 12345,
                                        "n_values": [16, 64]}), scenario="rate-vs-n")
         result = run_rate_vs_n(cfg)
@@ -428,7 +387,6 @@ class TestRateVsNRun:
             assert means[(64, method)] >= means[(16, method)], method
 
     def test_egr_beats_random_phase(self):
-        import json
         cfg = parse_config(json.dumps({"trials": 300, "master_seed": 12345,
                                        "n_values": [16]}), scenario="rate-vs-n")
         result = run_rate_vs_n(cfg)
@@ -437,16 +395,6 @@ class TestRateVsNRun:
 
 
 class TestSingleAndOracleRuns:
-    def test_single_schema(self):
-        cfg = small_config("single", n_values=[8])
-        result = run_rate_vs_n(cfg, verbose_trials=True)
-        assert result.header == RATE_VS_N_HEADER
-        srr_row = [r for r in rows_of(result.table) if r[1] == "srr"][0]
-        assert srr_row[0] == 8
-        assert len(result.trial_table) == 6 * cfg.trials
-        assert [row[2:4] for row in rows_of(result.trial_table)] == \
-            [(str(t), str(trial_seed(cfg.master_seed, t))) for t in range(cfg.trials)] * 6
-
     def test_oracle_check_schema_and_notes(self):
         cfg = small_config("oracle-check", n_values=[1, 2], trials=3)
         result = run_oracle_check(cfg)
@@ -457,42 +405,62 @@ class TestSingleAndOracleRuns:
             assert row[5] == pytest.approx(row[4] - row[3], abs=1e-12)
 
     def test_oracle_check_runs_max_asnr_once_per_draw(self, monkeypatch):
-        # max_asnr_batch runs once per block, over all of its rows; the
-        # scalar max_asnr never runs.
-        # Each call's trials are told apart by their direct channels.
-        calls = []
-        cfg = small_config("oracle-check", n_values=[1, 2], trials=5)
-        trial_of = {(n, sample_channels(cfg.params_for(n), trial_seed(cfg.master_seed, t)).h): t
-                    for n in (1, 2) for t in range(cfg.trials)}
-
-        def counted(g, f, h, params, opts):
-            calls.append((g.shape, [trial_of[params.n_elements, x] for x in h.tolist()]))
-            return max_asnr_batch(g, f, h, params, opts)
-
-        monkeypatch.setattr(experiments, "max_asnr_batch", counted)
-        monkeypatch.setattr(experiments, "max_asnr", _refused)
-        # Blocks of 4 trials at N = 1 and of 2 at N = 2.
+        # Scalar calls and batch rows together, max_asnr runs once per
+        # (trial, N), in oracle-check and in rate-vs-n alike.
         monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 4)
-        run_oracle_check(cfg)
-        assert calls == [((4, 1), [0, 1, 2, 3]), ((1, 1), [4]),
-                         ((2, 2), [0, 1]), ((2, 2), [2, 3]), ((1, 2), [4])]
+        for cfg in (small_config("oracle-check", n_values=[1, 2], trials=5),
+                    small_config("rate-vs-n", n_values=[2, 4], trials=5)):
+            runs = Counter()    # by (N, direct channel), which tells the trials apart
+
+            def scalar(ch, params, opts):
+                runs[params.n_elements, ch.h] += 1
+                return max_asnr(ch, params, opts)
+
+            def batch(g, f, h, params, opts):
+                runs.update((params.n_elements, x) for x in h.tolist())
+                return max_asnr_batch(g, f, h, params, opts)
+
+            monkeypatch.setattr(experiments, "max_asnr", scalar)
+            monkeypatch.setattr(experiments, "max_asnr_batch", batch)
+            _RUNNERS[cfg.scenario](cfg)
+            assert runs == Counter((n, sample_channels(cfg.params_for(n), seed).h)
+                                   for n in cfg.n_values for seed in _seeds(cfg))
 
 
 def _refused(*args, **kwargs):
     raise AssertionError("this call must not be made")
 
 
-def _failing_on_call(fn, call, row=None):
-    """``fn``, except that call number ``call`` raises: for one ``row`` of
-    its batch, as a kernel's check does, or else tied to no row."""
-    calls = []
+def _evaluated_rows(monkeypatch, cfg):
+    """Run ``cfg`` with its trial log and scalar ``snr``, ``rate`` and
+    ``mrr`` refused; count its ``rate_batch`` rows by (N, P_S, direct
+    channel, coefficients), the direct channel telling the trials apart."""
+    evaluate, rows = metrics.rate_batch, Counter()
+
+    def counted(p, g, f, h, params):
+        rows.update((params.n_elements, params.p_s, x, row.tobytes())
+                    for x, row in zip(h.tolist(), p))
+        return evaluate(p, g, f, h, params)
+
+    monkeypatch.setattr(metrics, "rate_batch", counted)
+    monkeypatch.setattr(metrics, "snr", _refused)
+    monkeypatch.setattr(metrics, "rate", _refused)
+    monkeypatch.setattr(beamforming, "mrr", _refused)
+    monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 16)
+    return rows, _RUNNERS[cfg.scenario](cfg, verbose_trials=True)
+
+
+def _failing(fn, hit):
+    """``fn``, except that a call for which ``hit(*args)`` holds raises
+    ``injected``: for the rows of a (T,) boolean ``hit``, as a kernel's
+    check does, or else tied to no row."""
 
     def wrapped(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == call:
-            if row is None:
-                raise ValueError("injected")
-            _require_rows(np.arange(len(args[0])) != row, "injected")
+        rows = hit(*args)
+        if isinstance(rows, np.ndarray):
+            _require_rows(~rows, "injected")
+        elif rows:
+            raise ValueError("injected")
         return fn(*args, **kwargs)
 
     return wrapped
@@ -506,67 +474,77 @@ class TestErrorsNameTheTrial:
     """Every runner raises ``RuntimeError: trial <t> failed[ for method
     <m>]: <message>`` for a failing draw or design, naming the trial by its
     index in the whole run, across block boundaries too; a failing design
-    also names its method."""
+    also names its method. Each failure is injected at trial 6, row 2 of
+    the second block of 4, whatever the order of the calls."""
 
-    @pytest.mark.parametrize("scenario", ["srr-sweep", "convergence"])
+    @pytest.mark.parametrize("scenario", ["srr-sweep", "convergence", "rate-vs-n",
+                                          "oracle-check"])
     def test_batched_runners_name_a_trial_past_the_first_block(self, monkeypatch, scenario):
-        # Blocks of 4 trials at N = 8: trial 6 is row 2 of the second block.
-        drawn = []
+        # Trial 6's draw is zeroed; every runner stops in its block, and
+        # names the first cell in CSV order, srr-sweep's srr at k = 4.
+        n = 2 if scenario == "oracle-check" else 8
+        cfg = small_config(scenario, n_values=[n], trials=10)
+        seeds, drawn = _seeds(cfg), set()
 
-        def zeroed(params, seeds):
-            g, f, h = sample_channels_batch(params, seeds)
-            if sum(drawn) <= 6 < sum(drawn) + len(seeds):
-                g[6 - sum(drawn)] = 0.0
-            drawn.append(len(seeds))
+        def zeroed_batch(params, block):
+            drawn.update(block)
+            g, f, h = sample_channels_batch(params, block)
+            g[[seed == seeds[6] for seed in block]] = 0.0
             return g, f, h
 
-        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 32)
-        monkeypatch.setattr(experiments, "sample_channels_batch", zeroed)
-        cfg = small_config(scenario, n_values=[8], trials=10)
-        runner = run_srr_sweep if scenario == "srr-sweep" else run_convergence
+        def zeroed(params, seed):
+            g, f, h = zeroed_batch(params, [seed])
+            return ChannelRealization(g[0], f[0], complex(h[0]))
+
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 4 * n)
+        monkeypatch.setattr(experiments, "sample_channels_batch", zeroed_batch)
+        monkeypatch.setattr(experiments, "sample_channels", zeroed)
         method = "srr" if scenario == "srr-sweep" else "max-asnr"
         with pytest.raises(RuntimeError, match=f"^trial 6 failed for method {method}: "
                                                "selected product channels are identically zero$"):
-            runner(cfg)
-        assert drawn == [4, 4]
+            _RUNNERS[scenario](cfg)
+        assert drawn == set(seeds[:8])
 
-    # Blocks of 4 trials: trial 6 is row 2 of the second block. srr-sweep
-    # designs k = 4 and then k = N = 8, which it names mrr, in each block.
-    @pytest.mark.parametrize("runner, n, kernel, call, method", [
-        pytest.param(run_srr_sweep, 8, "srr_batch", 4, "mrr", id="run_srr_sweep"),
-        pytest.param(run_rate_vs_n, 8, "egr_batch", 2, "egr", id="run_rate_vs_n"),
-        pytest.param(run_oracle_check, 2, "egr_batch", 2, "egr", id="run_oracle_check"),
+    # srr-sweep designs k = 4 and then k = N = 8, which it names mrr; only
+    # the k = N design fails.
+    @pytest.mark.parametrize("runner, n, kernel, method", [
+        pytest.param(run_srr_sweep, 8, "srr_batch", "mrr", id="run_srr_sweep"),
+        pytest.param(run_rate_vs_n, 8, "egr_batch", "egr", id="run_rate_vs_n"),
+        pytest.param(run_oracle_check, 2, "egr_batch", "egr", id="run_oracle_check"),
     ])
     def test_a_failing_design_names_its_trial_and_method(self, monkeypatch, runner, n, kernel,
-                                                         call, method):
+                                                         method):
         monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 4 * n)
-        monkeypatch.setattr(experiments, kernel,
-                            _failing_on_call(getattr(experiments, kernel), call, row=2))
         cfg = small_config(_SCENARIOS[runner], n_values=[n], trials=10)
+        g = sample_channels(cfg.params_for(n), trial_seed(cfg.master_seed, 6)).g
+
+        def hit(g_rows, *rest):     # egr_batch(g, f, params), or srr_batch(g, f, h, k) at k = N
+            return np.all(g_rows == g, axis=1) & (kernel == "egr_batch" or rest[-1] == n)
+
+        monkeypatch.setattr(experiments, kernel, _failing(getattr(experiments, kernel), hit))
         with pytest.raises(RuntimeError, match=f"^trial 6 failed for method {method}: injected$"):
             runner(cfg)
 
     # A batched draw fails tied to no row, so it names its block's first
-    # trial; a scalar draw names its own trial. rate-vs-n draws each trial
-    # six times in a row, so call 37 is the first draw of trial 6.
-    @pytest.mark.parametrize("runner, n, draw, call, trial", [
-        (run_srr_sweep, 8, "sample_channels_batch", 2, 4),
-        (run_convergence, 8, "sample_channels_batch", 2, 4),
-        (run_rate_vs_n, 8, "sample_channels", 37, 6),
-        (run_oracle_check, 2, "sample_channels", 7, 6),
+    # trial; a scalar draw or a grid search names its own trial.
+    @pytest.mark.parametrize("runner, n, name, trial", [
+        (run_srr_sweep, 8, "sample_channels_batch", 4),
+        (run_convergence, 8, "sample_channels_batch", 4),
+        (run_rate_vs_n, 8, "sample_channels", 6),
+        (run_oracle_check, 2, "sample_channels", 6),
+        (run_oracle_check, 2, "grid_search_best", 6),
     ])
-    def test_a_failing_draw_names_its_trial(self, monkeypatch, runner, n, draw, call, trial):
+    def test_a_failing_draw_names_its_trial(self, monkeypatch, runner, n, name, trial):
         monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 4 * n)
-        monkeypatch.setattr(experiments, draw, _failing_on_call(getattr(experiments, draw), call))
         cfg = small_config(_SCENARIOS[runner], n_values=[n], trials=10)
+        seed = trial_seed(cfg.master_seed, 6)
+        h = sample_channels(cfg.params_for(n), seed).h
+        hit = {"sample_channels_batch": lambda params, seeds: seed in seeds,
+               "sample_channels": lambda params, drawn: drawn == seed,
+               "grid_search_best": lambda ch, *rest: ch.h == h}[name]
+        monkeypatch.setattr(experiments, name, _failing(getattr(experiments, name), hit))
         with pytest.raises(RuntimeError, match=f"^trial {trial} failed: injected$"):
             runner(cfg)
-
-    @pytest.mark.parametrize("name", ["sample_channels", "grid_search_best"])
-    def test_oracle_check_names_the_trial_of_a_failing_draw_or_grid(self, monkeypatch, name):
-        monkeypatch.setattr(experiments, name, _failing_on_call(getattr(experiments, name), 2))
-        with pytest.raises(RuntimeError, match="^trial 1 failed: injected$"):
-            run_oracle_check(small_config("oracle-check", n_values=[1], trials=3))
 
 
 def _table(*blocks):
@@ -580,12 +558,6 @@ class TestCsvFormatting:
     def test_twelve_significant_digits(self):
         text = format_csv(("a", "b"), _table(((), [1, 2], [0.12345678901234567, 3.0])))
         assert text == "a,b\n1,0.123456789012\n2,3\n"
-
-    def test_rerun_bytes_identical(self):
-        cfg = small_config("rate-vs-n", n_values=[4])
-        a = format_csv(RATE_VS_N_HEADER, run_rate_vs_n(cfg).table)
-        b = format_csv(RATE_VS_N_HEADER, run_rate_vs_n(cfg).table)
-        assert a == b
 
     def test_columns_of_one_block_must_have_one_length(self):
         with pytest.raises(ValueError, match=r"block \('k',\): columns must have one length"):
@@ -685,7 +657,7 @@ class TestCsvWriterMatchesPerValueRules:
     ])
     def test_rows_of_every_scenario(self, scenario, extra):
         # At least two trials and two cells each, the trial logs included.
-        from irsbeam.cli import _RUNNERS, _SUPPORTS_TRIAL_LOG
+        from irsbeam.cli import _SUPPORTS_TRIAL_LOG
         cfg = small_config(scenario, **extra)
         assert cfg.trials >= 2
         runner = _RUNNERS[cfg.scenario]
