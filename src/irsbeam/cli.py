@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands mirror the experiment scenarios; results are written as CSV.
+The positional argument names the experiment scenario; results are written as CSV.
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
@@ -25,30 +25,31 @@ _RUNNERS = {
 _SUPPORTS_TRIAL_LOG = {Scenario.SRR_SWEEP, Scenario.RATE_VS_N, Scenario.SINGLE}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--seed", type=int, metavar="U64", help="master seed override")
-    common.add_argument("--trials", type=int, help="Monte-Carlo trials per cell")
-    common.add_argument("--out", metavar="PATH", help="output CSV path")
-    common.add_argument("--verbose-trials", action="store_true",
-                        help="also write the per-trial rate log")
+_HELP = {
+    Scenario.CONVERGENCE: "per-iteration traces of the iterative method",
+    Scenario.SRR_SWEEP: "selective reflecting versus selection size and BS power",
+    Scenario.RATE_VS_N: "mean rate of all methods versus element count",
+    Scenario.SINGLE: "all methods on a single configuration",
+    Scenario.ORACLE_CHECK: "compare methods against the brute-force grid optimum (n <= 2)",
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irsbeam",
         description="Active-IRS beamforming rate experiments (seeded, CSV output)",
+        epilog="scenarios:\n" + "".join(f"  {scenario.value:<14}{text}\n"
+                                         for scenario, text in _HELP.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("convergence", parents=[common],
-                   help="per-iteration traces of the iterative method")
-    sub.add_parser("srr-sweep", parents=[common],
-                   help="selective reflecting versus selection size and BS power")
-    sub.add_parser("rate-vs-n", parents=[common],
-                   help="mean rate of all methods versus element count")
-    sub.add_parser("single", parents=[common],
-                   help="all methods on a single configuration")
-    sub.add_parser("oracle-check", parents=[common],
-                   help="compare methods against the brute-force grid optimum (n <= 2)")
+    parser.add_argument("command", metavar="SCENARIO", choices=[s.value for s in Scenario],
+                        help="the experiment to run, one of those listed below")
+    parser.add_argument("--config", metavar="PATH", help="JSON config file")
+    parser.add_argument("--seed", type=int, metavar="U64", help="master seed override")
+    parser.add_argument("--trials", type=int, help="Monte-Carlo trials per cell")
+    parser.add_argument("--out", metavar="PATH", help="output CSV path")
+    parser.add_argument("--verbose-trials", action="store_true",
+                        help="also write the per-trial rate log")
     return parser
 
 
@@ -56,8 +57,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     text = ""
     if args.config is not None:
         try:
-            text = Path(args.config).read_text()
-        except OSError as err:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"config: cannot read {args.config}: {err}") from err
     overrides = {
         "master_seed": args.seed,

@@ -258,7 +258,7 @@ def parse_config(text: str, scenario: str | Scenario | None = None,
                  overrides: dict | None = None) -> ExperimentConfig:
     """Parse a JSON config document into a validated ExperimentConfig.
 
-    ``scenario`` (usually the CLI subcommand) takes precedence over the
+    ``scenario`` (usually the CLI's scenario argument) takes precedence over the
     document's scenario key; ``overrides`` are CLI flag values applied on
     top of the document (None entries are ignored). Raises ConfigError
     naming the offending key on any violation.

@@ -25,7 +25,6 @@ from .system import ChannelRealization, SystemParams, sample_channels, \
 __all__ = [
     "ExperimentResult",
     "Table",
-    "monte_carlo_rates",
     "run_convergence",
     "run_srr_sweep",
     "run_rate_vs_n",
@@ -166,13 +165,12 @@ def _block_rates(method: Method, block: _Block, params: SystemParams, solver: So
         return metrics.rate_batch(p, g, f, h, params), missed
 
 
-def _trial_blocks(params: SystemParams, seeds: list[int], master_seed: int, draws: int,
-                  copies: int):
+def _trial_blocks(params: SystemParams, seeds: list[int], master_seed: int, draws: int):
     """Yield a ``_Block`` for each ``_blocks`` block of ``seeds``, each trial
-    drawn ``draws`` times and its stream-1 seed mixed ``copies`` times, the
-    first of each kept: 6 and 6 in rate-vs-n, 1 and 6 in oracle-check (the
-    ``draws_per_trial`` and ``phase_seed_use_ratio`` that ``bench/test_bench.py``
-    pins), 1 and 1 in ``monte_carlo_rates``. ROADMAP item 1b replaces this body."""
+    drawn ``draws`` times and its stream-1 seed mixed once per method, the
+    first of each kept: ``draws`` is 6 in rate-vs-n and 1 in oracle-check
+    (the ``draws_per_trial`` and ``phase_seed_use_ratio`` that
+    ``bench/test_bench.py`` pins). ROADMAP item 1b replaces this body."""
     for first, block_seeds in _blocks(params.n_elements, seeds):
         channels, phase_seeds = [], []
         for t, seed in enumerate(block_seeds, first):
@@ -181,7 +179,7 @@ def _trial_blocks(params: SystemParams, seeds: list[int], master_seed: int, draw
                 for _ in range(draws - 1):
                     sample_channels(params, seed)
                 phase_seeds.append(trial_seed(master_seed, t, stream=1))
-                for _ in range(copies - 1):
+                for _ in range(len(Method) - 1):
                     trial_seed(master_seed, t, stream=1)
         yield _Block(first, channels, phase_seeds,
                      *(np.array([getattr(ch, name) for ch in channels]) for name in "gfh"))
@@ -231,23 +229,6 @@ def _run_cells(blocks, cells: list[tuple[Method, int | None]], levels: list[Syst
                     unconverged += missed
     return [[np.concatenate(parts[level, key]) for key in keys]
             for level in range(len(levels))], unconverged
-
-
-def monte_carlo_rates(method: Method, params: SystemParams, trials: int,
-                      master_seed: int, k: int | None = None,
-                      solver: SolverOptions = SolverOptions()) -> np.ndarray:
-    """Per-trial achievable rates, in trial order. ``k``, the selection
-    size, is given with ``srr`` alone, in [1, N]."""
-    if method is not Method.SRR and k is not None:
-        raise ValueError(f"k is for method srr alone, got k={k} with method {method.value}")
-    if method is Method.SRR and (k is None or not 1 <= k <= params.n_elements):
-        raise ValueError(f"k must be in [1, {params.n_elements}], got {k}")
-    seeds = trial_seeds(master_seed, range(trials))
-    if not seeds:
-        raise ValueError("trials must be >= 1")
-    blocks = _trial_blocks(params, seeds, master_seed, draws=1, copies=1)
-    rates, _ = _run_cells(blocks, [(method, k)], [params], solver, max_asnr_per_trial=True)
-    return rates[0][0]
 
 
 def _unconverged_note(unconverged: int, cfg: ExperimentConfig) -> str:
@@ -350,7 +331,7 @@ def run_rate_vs_n(cfg: ExperimentConfig,
     for n in cfg.n_values:
         params = cfg.params_for(n)
         cells = _summary_cells(n)
-        blocks = _trial_blocks(params, seeds, cfg.master_seed, len(cells), len(cells))
+        blocks = _trial_blocks(params, seeds, cfg.master_seed, draws=len(cells))
         (rates,), missed = _run_cells(blocks, cells, [params], cfg.solver,
                                       max_asnr_per_trial=True)
         unconverged += missed
@@ -392,7 +373,7 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
         params = cfg.params_for(n)
         cells = _summary_cells(n)
         best: list[float] = []
-        blocks = _trial_blocks(params, seeds, cfg.master_seed, draws=1, copies=len(cells))
+        blocks = _trial_blocks(params, seeds, cfg.master_seed, draws=1)
         (rates,), missed = _run_cells(_grid_searched(blocks, params, best), cells, [params],
                                       cfg.solver)
         unconverged += missed

@@ -270,6 +270,32 @@ def test_missing_config_file_exit_code(tmp_path):
     assert main(["single", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("data, message", [
+    (b'{"trials": 2\xff}', "config: cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+    (b'\xef\xbb\xbf{"trials": 2}', "invalid JSON config: Unexpected UTF-8 BOM"),
+])
+def test_config_file_that_is_not_plain_utf8_exit_code(tmp_path, capsys, data, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    out = tmp_path / "out.csv"
+    assert main(["single", "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {message.format(path=path)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scenario_may_follow_the_options(tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["--trials", "2", "--out", str(out), "single"]) == 0
+    assert len(out.read_text().splitlines()) == 7
+
+
+def test_unknown_scenario_exit_code(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["warp-speed"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'warp-speed'" in capsys.readouterr().err
+
+
 def test_runtime_error_exit_code(tmp_path, capsys, monkeypatch):
     # A trial fails after the config has been accepted.
     cfg = write_config(tmp_path, trials=2, n_values=[4])

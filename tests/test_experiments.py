@@ -18,7 +18,6 @@ from irsbeam import (
     grid_search_best,
     max_asnr,
     max_asnr_batch,
-    monte_carlo_rates,
     parse_config,
     run_convergence,
     run_oracle_check,
@@ -58,31 +57,6 @@ def _seeds(cfg):
     return [trial_seed(cfg.master_seed, t) for t in range(cfg.trials)]
 
 
-class TestMonteCarlo:
-    def test_single_trial_mean_is_the_trial_rate(self):
-        cfg = small_config("rate-vs-n", n_values=[8], trials=1)
-        rates = monte_carlo_rates(Method.MRR, cfg.params_for(8), trials=1,
-                                  master_seed=cfg.master_seed)
-        assert rows_of(run_rate_vs_n(cfg).table)[1] == (8, "mrr", rates[0], 0.0, 1)
-
-    def test_trial_failure_carries_index(self, monkeypatch):
-        # k is checked before any draw: srr needs one in [1, N], and no
-        # other method takes one.
-        monkeypatch.setattr(experiments, "sample_channels", _refused)
-        params = SystemParams.default(4)
-        for k in (99, 0, None):
-            with pytest.raises(ValueError, match=rf"^k must be in \[1, 4\], got {k}$"):
-                monte_carlo_rates(Method.SRR, params, 2, 9, k=k)
-        for method in (Method.EGR, Method.MRR, Method.MAX_ASNR):
-            with pytest.raises(ValueError, match=f"^k is for method srr alone, got k=2 with "
-                                                 f"method {method.value}$"):
-                monte_carlo_rates(method, params, 2, 9, k=2)
-
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError, match="^trials must be >= 1$"):
-            monte_carlo_rates(Method.MRR, SystemParams.default(4), 0, 9)
-
-
 def _scalar_rate(method, params, master_seed, t, k, solver=None):
     """Rate of one (method, trial) through the scalar path, with the
     reference bodies of ``egr`` and ``passive_aligned``."""
@@ -97,28 +71,26 @@ class TestFullPrecision:
     (``==`` on float64), on trials that straddle block edges; the golden
     digests carry 12 significant digits and cannot see a last-bit change."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 64])
-    def test_monte_carlo_rates_equal_scalar_rates(self, monkeypatch, n):
-        # Blocks of 3 trials: 7 trials end on a ragged block of one.
-        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 3 * n)
-        trials, master_seed = 7, 2024
-        params = SystemParams.default(n)
-        for method in Method:
-            k = max(1, n // 2) if method is Method.SRR else None
-            rates = monte_carlo_rates(method, params, trials, master_seed, k)
-            assert rates.tolist() == [_scalar_rate(method, params, master_seed, t, k)
-                                      for t in range(trials)], method
-
     def test_rate_vs_n_trial_log_equals_scalar_rates(self, monkeypatch):
-        # One block of all 7 trials at N = 1, blocks of 3 at N = 8 and of 1 at N = 64.
-        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 24)
-        cfg = small_config("rate-vs-n", n_values=[1, 8, 64], trials=7)
+        # Blocks of 6, 3 and 2 trials at N = 1, 2 and 3, so 7 trials end on a
+        # ragged block of one at each, and blocks of 1 at N = 8 and 64.
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 6)
+        cfg = small_config("rate-vs-n", n_values=[1, 2, 3, 8, 64], trials=7)
+        for n in (1, 2, 3):
+            size = experiments.BLOCK_ENTRIES // n
+            assert size < cfg.trials and cfg.trials % size
         rows = rows_of(run_rate_vs_n(cfg, verbose_trials=True).trial_table)
         assert len(rows) == len(cfg.n_values) * len(Method) * cfg.trials
         for i, (n, method, t, seed, rate_bits) in enumerate(rows):
             assert (t, seed) == (str(i % cfg.trials), str(trial_seed(cfg.master_seed, int(t))))
             assert rate_bits == _scalar_rate(Method(method), cfg.params_for(n), cfg.master_seed,
                                              int(t), max(1, n // 2), cfg.solver)
+
+    def test_single_trial_row_is_the_trial_rate_with_zero_std(self):
+        cfg = small_config("rate-vs-n", n_values=[8], trials=1)
+        trial_rate = _scalar_rate(Method.MRR, cfg.params_for(8), cfg.master_seed, 0, None,
+                                  cfg.solver)
+        assert rows_of(run_rate_vs_n(cfg).table)[1] == (8, "mrr", trial_rate, 0.0, 1)
 
     def test_oracle_check_columns_equal_scalar_rates(self, monkeypatch):
         # Blocks of 3 trials at N = 1 and of 1 at N = 2.

@@ -25,7 +25,7 @@ def test_config_table_names_every_key():
 
 
 def test_common_flags_paragraph_names_every_flag(capsys):
-    # Every subcommand takes the same common flags.
+    # Every scenario takes the same common flags.
     text = README.read_text()
     paragraph = text[text.index("Common flags:"):]
     paragraph = paragraph[:paragraph.index("\n\n")]
