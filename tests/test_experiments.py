@@ -71,20 +71,28 @@ class TestFullPrecision:
     (``==`` on float64), on trials that straddle block edges; the golden
     digests carry 12 significant digits and cannot see a last-bit change."""
 
-    def test_rate_vs_n_trial_log_equals_scalar_rates(self, monkeypatch):
-        # Blocks of 6, 3 and 2 trials at N = 1, 2 and 3, so 7 trials end on a
-        # ragged block of one at each, and blocks of 1 at N = 8 and 64.
-        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 6)
-        cfg = small_config("rate-vs-n", n_values=[1, 2, 3, 8, 64], trials=7)
-        for n in (1, 2, 3):
-            size = experiments.BLOCK_ENTRIES // n
-            assert size < cfg.trials and cfg.trials % size
+    @staticmethod
+    def _assert_trial_log_equals_scalar_rates(cfg):
         rows = rows_of(run_rate_vs_n(cfg, verbose_trials=True).trial_table)
         assert len(rows) == len(cfg.n_values) * len(Method) * cfg.trials
         for i, (n, method, t, seed, rate_bits) in enumerate(rows):
             assert (t, seed) == (str(i % cfg.trials), str(trial_seed(cfg.master_seed, int(t))))
             assert rate_bits == _scalar_rate(Method(method), cfg.params_for(n), cfg.master_seed,
                                              int(t), max(1, n // 2), cfg.solver)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    def test_monte_carlo_rates_equal_scalar_rates(self, monkeypatch, n):
+        # The Monte-Carlo rates of every method at one N, from the trial log;
+        # blocks of 3 trials, so 7 trials end on a ragged block of one.
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 3 * n)
+        cfg = small_config("rate-vs-n", n_values=[n], trials=7, master_seed=2024)
+        self._assert_trial_log_equals_scalar_rates(cfg)
+
+    def test_rate_vs_n_trial_log_equals_scalar_rates(self, monkeypatch):
+        # One block of all 7 trials at N = 1, blocks of 3 at N = 8 and of 1 at N = 64.
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 24)
+        cfg = small_config("rate-vs-n", n_values=[1, 8, 64], trials=7)
+        self._assert_trial_log_equals_scalar_rates(cfg)
 
     def test_single_trial_row_is_the_trial_rate_with_zero_std(self):
         cfg = small_config("rate-vs-n", n_values=[8], trials=1)
