@@ -53,7 +53,6 @@ __all__ = [
     "srr_batch",
     "asnr_direction",
     "max_asnr",
-    "MaxAsnrBatch",
     "max_asnr_batch",
     "random_phase",
     "passive_aligned",
@@ -374,27 +373,19 @@ def max_asnr(ch: ChannelRealization, params: SystemParams,
     return passes[-1], ConvergenceTrace(tuple(passes), ch, params, converged)
 
 
-@dataclass(frozen=True)
-class MaxAsnrBatch:
-    """``max_asnr`` run on every row of a batch of draws.
-
-    Row t equals ``max_asnr(ch_t, params, opts)`` bit for bit: the final
-    direction and scale, the converged flag, and in ``records[t]`` the
-    (lam, rate_bits) pair of every trace record, record 0 being the
-    ``mrr`` start.
-    """
-
-    p_normalized: np.ndarray    # (T, N) final direction
-    lam: np.ndarray             # (T,) final scale
-    records: tuple[tuple[tuple[float, float], ...], ...]
-    converged: np.ndarray       # (T,) bool
-
-
 def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemParams,
-                   opts: SolverOptions = SolverOptions()) -> MaxAsnrBatch:
+                   opts: SolverOptions = SolverOptions()
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple]]:
     """``max_asnr`` on the rows of (T, N) channels ``g``, ``f`` and (T,)
-    direct channels ``h`` at once. A failing check names the row of the
-    batch, however many rows have left it.
+    direct channels ``h`` at once: the (T, N) final directions, the (T,)
+    final scales and converged flags, and the iterates. A failing check
+    names the row of the batch, however many rows have left it.
+
+    Each iterate, the ``mrr`` start and then every pass, is a tuple
+    ``(rows, lam, p_normalized, g, f, h)``: the batch rows it holds, their
+    scales and unit directions, and the channels those rows ran on. Row t's
+    iterates, in order, equal ``max_asnr(ch_t, params, opts)``'s trace
+    ``iterates`` bit for bit, and its final design equals the last of them.
 
     Each pass runs on the rows still active. A row leaves the active set
     as soon as its own stopping rule fires or it reaches
@@ -407,24 +398,19 @@ def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemPa
     """
     _require_finite(g, f, h)
     lam = _matched_scale(*_matched_sums(g, f), params)
-    phase = _direct_phase_factors(h)
-    # Rows of the start's directions are overwritten as their trials end.
-    p_final = _whitened(np.multiply(np.conj(g), f), phase)
-    rates = metrics.rate_batch(np.multiply(lam[:, None], p_final), g, f, h, params)
-    records = [[rec] for rec in zip(lam.tolist(), rates.tolist())]
-    lam_final = lam.copy()
-    converged = np.zeros(len(g), dtype=bool)
     # Per active row: its index in the batch and everything a pass reads.
-    rows = np.arange(len(g))
+    rows, phase = np.arange(len(g)), _direct_phase_factors(h)
     amp_noise = params.sigma_i_sq * np.abs(f) ** 2
+    iterates = [(rows, lam, _whitened(np.multiply(np.conj(g), f), phase), g, f, h)]
+    # Every row leaves at some pass, which writes its final design.
+    p_final, lam_final = np.empty_like(iterates[0][2]), np.empty_like(lam)
+    converged = np.zeros(len(g), dtype=bool)
     for it in range(1, opts.max_iterations + 1):
         offset = np.array([params.sigma_u_sq / x**2 for x in lam.tolist()])
         p_norm = _whitened(np.multiply(np.conj(g), f), phase, amp_noise + offset[:, None], rows)
         new_lam = _budget_scale(p_norm, g, params)
         _require_rows(new_lam > 0.0, "lam must be positive", rows)
-        rates = metrics.rate_batch(np.multiply(new_lam[:, None], p_norm), g, f, h, params)
-        for row, rec in zip(rows.tolist(), zip(new_lam.tolist(), rates.tolist())):
-            records[row].append(rec)
+        iterates.append((rows, new_lam, p_norm, g, f, h))
         done = np.abs(new_lam - lam) / lam <= opts.tolerance
         leaving = done | (it == opts.max_iterations)
         if leaving.any():
@@ -438,7 +424,7 @@ def max_asnr_batch(g: np.ndarray, f: np.ndarray, h: np.ndarray, params: SystemPa
             rows, new_lam, g, f, h, phase, amp_noise = (
                 a[stay] for a in (rows, new_lam, g, f, h, phase, amp_noise))
         lam = new_lam
-    return MaxAsnrBatch(p_final, lam_final, tuple(tuple(r) for r in records), converged)
+    return p_final, lam_final, converged, iterates
 
 
 def random_phase(ch: ChannelRealization, params: SystemParams, seed: int) -> Beamformer:

@@ -69,8 +69,10 @@ class ExperimentResult:
 
 def _summary_cells(n: int) -> list[tuple[Method, int | None]]:
     """The (method, k) cells of the summary scenarios at ``n`` elements:
-    every method in ``Method``'s order, with ``srr`` on half the elements."""
-    return [(m, max(1, n // 2) if m is Method.SRR else None) for m in Method]
+    every method in ``Method``'s order, with ``srr`` on half the elements
+    and ``mrr`` on all of them."""
+    ks = {Method.MRR: n, Method.SRR: max(1, n // 2)}
+    return [(m, ks.get(m)) for m in Method]
 
 
 @dataclass
@@ -153,9 +155,8 @@ def _block_rates(method: Method, block: _Block, params: SystemParams, solver: So
     else:
         with _Naming(block.first, method):
             if method is Method.MAX_ASNR:
-                design = max_asnr_batch(g, f, h, params, solver)
-                p_norm, lam = design.p_normalized, design.lam
-                missed = int(np.count_nonzero(~design.converged))
+                p_norm, lam, converged, _ = max_asnr_batch(g, f, h, params, solver)
+                missed = int(np.count_nonzero(~converged))
             elif method is Method.EGR:
                 p_norm, lam = egr_batch(g, f, params)
             else:
@@ -206,9 +207,8 @@ def _run_cells(blocks, cells: list[tuple[Method, int | None]], levels: list[Syst
     designed once per block, at its first cell, and named by its last; it
     is evaluated once per level, and every cell of that size shares its
     rates. Every other cell goes through ``_block_rates`` at each level."""
-    # A design's key: (srr, selection size) for a matched cell, else the cell.
-    keys = [(Method.SRR, levels[0].n_elements if method is Method.MRR else k)
-            if method is Method.MRR or method is Method.SRR else (method, k)
+    # A design's key: (srr, k) for a matched cell, else the cell.
+    keys = [(Method.SRR, k) if method in (Method.MRR, Method.SRR) else (method, k)
             for method, k in cells]
     names = dict(zip(keys, (method for method, _ in cells)))    # the last cell's
     parts = {(level, key): [] for level in range(len(levels)) for key in names}
@@ -268,9 +268,12 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     Trials are drawn and designed in blocks of ``max(1, BLOCK_ENTRIES // N)``
     (``_batch_blocks``) with ``max_asnr_batch``, which equals ``max_asnr`` trial
     by trial, bit for bit; so the memory beside the output rows stays
-    bounded at any N and trial count. The seeds of all trials are mixed
-    once, since they do not depend on N. The rows of each N are one block
-    of four columns. A note counts the runs that hit ``max_iterations``.
+    bounded at any N and trial count. Each iterate's rates come from one
+    ``rate_batch`` call on the rows and channels that its pass ran on,
+    equal to the scalar trace's ``records``. The seeds of all trials are
+    mixed once, since they do not depend on N. The rows of each N are one
+    block of four columns. A note counts the runs that hit
+    ``max_iterations``.
     """
     table = Table()
     unconverged = 0
@@ -282,12 +285,18 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         records: list[tuple[float, float]] = []
         for block in _batch_blocks(params, all_seeds):
             with _Naming(block.first, Method.MAX_ASNR):
-                batch = max_asnr_batch(block.g, block.f, block.h, params, cfg.solver)
-            for seed, trace in zip(all_seeds[block.first:], batch.records):
+                *_, converged, iterates = max_asnr_batch(block.g, block.f, block.h, params,
+                                                         cfg.solver)
+            traces = [[] for _ in converged]
+            for rows, lam, p_norm, g, f, h in iterates:
+                rates = metrics.rate_batch(np.multiply(lam[:, None], p_norm), g, f, h, params)
+                for row, rec in zip(rows.tolist(), zip(lam.tolist(), rates.tolist())):
+                    traces[row].append(rec)
+            for seed, trace in zip(all_seeds[block.first:], traces):
                 seeds += [seed] * len(trace)
                 iterations += range(len(trace))
                 records += trace
-            unconverged += int(np.count_nonzero(~batch.converged))
+            unconverged += int(np.count_nonzero(~converged))
         table.add((), seeds, iterations, *zip(*records))
     return ExperimentResult(CONVERGENCE_HEADER, table, notes=(_unconverged_note(unconverged, cfg),))
 

@@ -40,6 +40,20 @@ def rows_of(table):
             for values in (zip(*columns) if columns else [()])]
 
 
+def assert_row_iterates_equal(iterates, t, trace):
+    """Row t's iterates in a ``max_asnr_batch`` result equal the scalar
+    ``trace.iterates`` in number and order: every scale by ``==``, every
+    direction and the channels it ran on by ``np.array_equal``."""
+    mine = [(lam[i], p[i], g[i], f[i], h[i]) for rows, lam, p, g, f, h in iterates
+            for i in np.flatnonzero(rows == t)]
+    assert len(mine) == len(trace.iterates)
+    for (lam, p, g, f, h), bf in zip(mine, trace.iterates):
+        assert lam == bf.lam
+        assert np.array_equal(p, bf.p_normalized)
+        assert np.array_equal(g, trace.channel.g) and np.array_equal(f, trace.channel.f)
+        assert h == trace.channel.h
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

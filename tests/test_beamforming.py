@@ -32,7 +32,7 @@ from irsbeam import (
 )
 
 from irsbeam import beamforming
-from conftest import make_params, random_channel
+from conftest import assert_row_iterates_equal, make_params, random_channel
 
 
 def channel(g, f, h):
@@ -415,15 +415,14 @@ class TestMaxAsnrBatch:
         g, f, h = sample_channels_batch(params, [trial_seed(12345, t) for t in range(trials)])
         h[::4] = 0.0                    # absent direct path on every fourth row
         opts = SolverOptions(**stop)
-        batch = max_asnr_batch(g, f, h, params, opts)
+        p_norm, lam, converged, iterates = max_asnr_batch(g, f, h, params, opts)
         for t in range(trials):
             ch = ChannelRealization(g=g[t], f=f[t], h=complex(h[t]))
             bf, trace = max_asnr(ch, params, opts)
-            assert batch.records[t] == tuple((r.lam, r.rate_bits) for r in trace.records)
-            assert len(batch.records[t]) - 1 == trace.iterations
-            assert batch.converged[t] == trace.converged
-            assert np.array_equal(batch.p_normalized[t], bf.p_normalized)
-            assert batch.lam[t] == bf.lam
+            assert_row_iterates_equal(iterates, t, trace)
+            assert converged[t] == trace.converged
+            assert np.array_equal(p_norm[t], bf.p_normalized)
+            assert lam[t] == bf.lam
 
     def test_one_row_of_one_element(self):
         # Found by the property test: numpy's in-place complex multiply on
@@ -431,17 +430,18 @@ class TestMaxAsnrBatch:
         # one, so a batch that has shrunk to one row must not use it.
         params = replace(SystemParams.default(1), p_s=dbm_to_watts(0.0), p_i=dbm_to_watts(1.0))
         g, f, h = sample_channels_batch(params, [trial_seed(0, 0)])
-        batch = max_asnr_batch(g, f, h, params)
+        p_norm, *_, iterates = max_asnr_batch(g, f, h, params)
         bf, trace = max_asnr(ChannelRealization(g=g[0], f=f[0], h=complex(h[0])), params)
-        assert batch.records[0] == tuple((r.lam, r.rate_bits) for r in trace.records)
-        assert np.array_equal(batch.p_normalized[0], bf.p_normalized)
+        assert_row_iterates_equal(iterates, 0, trace)
+        assert np.array_equal(p_norm[0], bf.p_normalized)
 
     def test_checks_name_the_failing_trial(self, monkeypatch):
         params = SystemParams.default(4)
         g, f, h = sample_channels_batch(params, [1, 2, 3])
         # Row 1 makes one pass more than the others, alone in the batch: a
         # check that fails there names it by its row in the batch.
-        assert [len(r) for r in max_asnr_batch(g, f, h, params).records] == [4, 5, 4]
+        *_, iterates = max_asnr_batch(g, f, h, params)
+        assert np.bincount(np.concatenate([it[0] for it in iterates])).tolist() == [4, 5, 4]
         whitened = beamforming._whitened
 
         def zeroed_when_alone(w, *args):

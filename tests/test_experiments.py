@@ -34,7 +34,7 @@ from irsbeam import (
     trial_seed,
 )
 from irsbeam import beamforming, experiments, metrics
-from irsbeam.cli import _RUNNERS
+from irsbeam.cli import _RUNNERS, _SUPPORTS_TRIAL_LOG
 from irsbeam.beamforming import _require_rows
 from irsbeam.experiments import (
     CONVERGENCE_HEADER,
@@ -146,6 +146,11 @@ class TestConvergenceRun:
         assert format_csv(CONVERGENCE_HEADER, result.table) == \
             _oracle_csv(CONVERGENCE_HEADER, rows)
         assert result.notes == (f"max-asnr: {unconverged} of {2 * trials} runs did not converge",)
+
+    def test_evaluates_one_rate_per_written_row(self, monkeypatch):
+        cfg = small_config("convergence", n_values=[4, 8], trials=5)
+        rows, result = _evaluated_rows(monkeypatch, cfg)
+        assert sum(rows.values()) == len(result.table)
 
     def test_unconverged_runs_are_counted(self):
         cfg = small_config("convergence", n_values=[8], max_iterations=2, tolerance=1e-16)
@@ -301,6 +306,7 @@ class TestMemoryBound:
     @staticmethod
     def _peak_mb(run, cfg):
         import tracemalloc
+        import numpy.random  # noqa: F401 - numpy imports it on a run's first draw
         tracemalloc.start()
         try:
             run(cfg)
@@ -327,14 +333,16 @@ class TestMemoryBound:
         assert self._peak_mb(run_rate_vs_n, cfg) < 20
 
     def test_oracle_check_at_many_trials(self, monkeypatch):
-        # Blocks of 8192 trials at N = 1: 17 MB measured, 13 MB of it the
-        # 120,000 output rows; the 20000 trials in one block peaked at 29 MB.
+        # Blocks of 1024 trials at N = 1, so 2500 trials make two whole
+        # blocks and a ragged one: 1.8 MB measured, most of it the 15,000
+        # output rows; the 2500 trials in one block peaked at 2.8 MB.
         # The grid search runs one trial at a time and keeps one float of
         # it, so a stub stands in for it and halves the test's time.
         found = OracleResult(0.0, np.ones(1), 1)
         monkeypatch.setattr(experiments, "grid_search_best", lambda *args: found)
-        cfg = small_config("oracle-check", n_values=[1], trials=20000)
-        assert self._peak_mb(run_oracle_check, cfg) < 22
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 1024)
+        cfg = small_config("oracle-check", n_values=[1], trials=2500)
+        assert self._peak_mb(run_oracle_check, cfg) < 2.3
 
 
 class TestRateVsNRun:
@@ -384,6 +392,14 @@ class TestSingleAndOracleRuns:
         for row in rows_of(result.table):
             assert row[5] == pytest.approx(row[4] - row[3], abs=1e-12)
 
+    def test_oracle_check_evaluates_each_design_once(self, monkeypatch):
+        # One rate_batch row per (trial, design): no max_asnr pass but the
+        # last is evaluated. N = 1 is left out, where two designs can share
+        # coefficient bits.
+        cfg = small_config("oracle-check", n_values=[2], trials=5)
+        rows, _ = _evaluated_rows(monkeypatch, cfg)
+        assert len(rows) == cfg.trials * len(Method) and set(rows.values()) == {1}
+
     def test_oracle_check_runs_max_asnr_once_per_draw(self, monkeypatch):
         # Scalar calls and batch rows together, max_asnr runs once per
         # (trial, N), in oracle-check and in rate-vs-n alike.
@@ -412,9 +428,10 @@ def _refused(*args, **kwargs):
 
 
 def _evaluated_rows(monkeypatch, cfg):
-    """Run ``cfg`` with its trial log and scalar ``snr``, ``rate`` and
-    ``mrr`` refused; count its ``rate_batch`` rows by (N, P_S, direct
-    channel, coefficients), the direct channel telling the trials apart."""
+    """Run ``cfg``, with its trial log if its scenario writes one, and with
+    scalar ``snr``, ``rate`` and ``mrr`` refused; count its ``rate_batch``
+    rows by (N, P_S, direct channel, coefficients), the direct channel
+    telling the trials apart."""
     evaluate, rows = metrics.rate_batch, Counter()
 
     def counted(p, g, f, h, params):
@@ -427,7 +444,10 @@ def _evaluated_rows(monkeypatch, cfg):
     monkeypatch.setattr(metrics, "rate", _refused)
     monkeypatch.setattr(beamforming, "mrr", _refused)
     monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 16)
-    return rows, _RUNNERS[cfg.scenario](cfg, verbose_trials=True)
+    runner = _RUNNERS[cfg.scenario]
+    if cfg.scenario in _SUPPORTS_TRIAL_LOG:
+        return rows, runner(cfg, verbose_trials=True)
+    return rows, runner(cfg)
 
 
 def _failing(fn, hit):

@@ -50,7 +50,7 @@ from irsbeam.config import _ALLOWED_KEYS, parse_config  # noqa: E402
 from irsbeam.metrics import _norm  # noqa: E402
 
 import reference  # noqa: E402
-from conftest import rows_of  # noqa: E402
+from conftest import assert_row_iterates_equal, rows_of  # noqa: E402
 from grid_reference import grid_search_best_reference  # noqa: E402
 
 # Derandomized, and no example database, so every run checks the same cases
@@ -68,15 +68,15 @@ def test_max_asnr_batch_equals_scalar_and_meets_budget(master_seed, n, trials, p
                      p_i=dbm_to_watts(p_i_dbm))
     g, f, h = sample_channels_batch(
         params, [trial_seed(master_seed, t) for t in range(trials)])
-    batch = max_asnr_batch(g, f, h, params)
+    p_norm, lam, converged, iterates = max_asnr_batch(g, f, h, params)
     for t in range(trials):
         ch = ChannelRealization(g=g[t], f=f[t], h=complex(h[t]))
         bf, trace = max_asnr(ch, params)
-        assert batch.records[t] == tuple((r.lam, r.rate_bits) for r in trace.records)
-        assert batch.converged[t] == trace.converged
-        assert np.array_equal(batch.p_normalized[t], bf.p_normalized)
-        assert batch.lam[t] == bf.lam
-        p = batch.lam[t] * batch.p_normalized[t]
+        assert_row_iterates_equal(iterates, t, trace)
+        assert converged[t] == trace.converged
+        assert np.array_equal(p_norm[t], bf.p_normalized)
+        assert lam[t] == bf.lam
+        p = lam[t] * p_norm[t]
         assert abs(reflected_power(p, ch, params) / params.p_i - 1.0) <= 1e-12
 
 
